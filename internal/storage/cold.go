@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"unsafe"
+
 	"repro/internal/storage/coldstore"
 	"repro/internal/types"
 )
@@ -32,12 +34,13 @@ import (
 // and only reference RowIDs.
 
 // rowMemSize estimates the heap footprint of a resident row: slice
-// header + per-value struct + string payloads. It only has to be
-// consistent between the insert and evict sides of the ledger.
+// header + per-value struct + string payloads. It has to be consistent
+// between the insert and evict sides of the ledger, and follows the
+// Value layout so Config.MemoryBudget keeps meaning bytes.
 func rowMemSize(r types.Row) int64 {
 	n := int64(24)
 	for _, v := range r {
-		n += 40
+		n += int64(unsafe.Sizeof(v))
 		if v.Type() == types.TypeString {
 			n += int64(len(v.Str()))
 		}

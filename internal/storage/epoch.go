@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/types"
 )
 
 // Epoch-based reclamation (DESIGN.md §8). Snapshot readers run with zero
@@ -157,9 +159,10 @@ func (em *EpochManager) freeBin(slot uint64) {
 	bin.vers = bin.vers[:0]
 	for i, n := range bin.nodes {
 		n.key = nil
+		n.k1[0] = types.Value{}
 		n.refs.Store(nil)
-		for l := range n.next {
-			n.next[l].Store(nil)
+		for l := range n.tower {
+			n.tower[l].Store(nil)
 		}
 		slNodePool.Put(n)
 		bin.nodes[i] = nil

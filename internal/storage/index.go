@@ -321,6 +321,8 @@ func (ix *Index) LookupUnique(key types.Row) (RowID, bool) {
 
 // Range iterates live (key, id) pairs with lo <= key <= hi in key order.
 // A nil bound is unbounded on that side. Requires an ordered index.
+// The key passed to fn may alias index memory that is reused once the
+// node is reclaimed; copy it to keep it past the call.
 func (ix *Index) Range(lo, hi types.Row, fn func(key types.Row, id RowID) bool) error {
 	if !ix.ordered {
 		return fmt.Errorf("index %q: range scan on hash index", ix.name)

@@ -21,14 +21,46 @@ import (
 // links, until every such reader exits.
 const maxLevel = 24
 
+// inlineLevels is how many tower levels a key node holds in its own
+// allocation. With p = 1/4 per level, 1 - 4^-4 (99.6%) of nodes fit;
+// taller ones and the head get a separately allocated tower.
+const inlineLevels = 4
+
 // slNode is one key's node. key and the ref slice a reader loads are
 // immutable once published; mutation publishes a fresh slice. The fields
 // are rewritten in place only between pool reuse and republication, when
 // the epoch grace period guarantees no reader holds the node.
+//
+// tower holds the node's next links, one per level it occupies: it aliases
+// inl for nodes up to inlineLevels tall. A one-column key lives in k1 (key
+// aliases it), so the common node is one 128-byte allocation; wider keys
+// are cloned. Because an inline key is rewritten on reuse, a reader may
+// use key only inside the epoch it found the node in.
 type slNode struct {
-	key  types.Row
-	refs atomic.Pointer[[]ixRef]
-	next [maxLevel]atomic.Pointer[slNode]
+	key   types.Row
+	refs  atomic.Pointer[[]ixRef]
+	tower []atomic.Pointer[slNode]
+	inl   [inlineLevels]atomic.Pointer[slNode]
+	k1    [1]types.Value
+}
+
+// init sets a fresh or reused node's key and sizes its tower to height
+// levels, all nil. Worker-only, before the node is published.
+func (n *slNode) init(key types.Row, height int) {
+	if len(key) == 1 {
+		n.k1[0] = key[0]
+		n.key = n.k1[:]
+	} else {
+		n.key = key.Clone()
+	}
+	switch {
+	case height <= inlineLevels:
+		n.tower = n.inl[:height]
+	case cap(n.tower) >= height: // an earlier overflow tower; inl is too short
+		n.tower = n.tower[:height]
+	default:
+		n.tower = make([]atomic.Pointer[slNode], height)
+	}
 }
 
 // loadRefs returns the node's current ref slice (nil-safe). The slice is
@@ -48,7 +80,8 @@ type skiplist struct {
 }
 
 func newSkiplist(em *EpochManager) *skiplist {
-	return &skiplist{head: &slNode{}, rng: 0x9E3779B97F4A7C15, em: em}
+	head := &slNode{tower: make([]atomic.Pointer[slNode], maxLevel)}
+	return &skiplist{head: head, rng: 0x9E3779B97F4A7C15, em: em}
 }
 
 func (s *skiplist) randLevel() int {
@@ -76,7 +109,7 @@ func (s *skiplist) findPredecessors(key types.Row, update *[maxLevel]*slNode) *s
 	x := s.head
 	for i := maxLevel - 1; i >= 0; i-- {
 		for {
-			nx := x.next[i].Load()
+			nx := x.tower[i].Load()
 			if nx == nil || nx.key.Compare(key) >= 0 {
 				break
 			}
@@ -84,7 +117,7 @@ func (s *skiplist) findPredecessors(key types.Row, update *[maxLevel]*slNode) *s
 		}
 		update[i] = x
 	}
-	return x.next[0].Load()
+	return x.tower[0].Load()
 }
 
 func (s *skiplist) insert(key types.Row, id RowID, born Seq, unique bool) error {
@@ -103,16 +136,16 @@ func (s *skiplist) insert(key types.Row, id RowID, born Seq, unique bool) error 
 	}
 	lvl := s.randLevel()
 	n := slNodePool.Get().(*slNode)
-	n.key = key.Clone()
+	n.init(key, lvl)
 	rs := []ixRef{{id: id, born: born, dead: SeqInf}}
 	n.refs.Store(&rs)
 	for i := 0; i < lvl; i++ {
-		n.next[i].Store(update[i].next[i].Load())
+		n.tower[i].Store(update[i].tower[i].Load())
 	}
 	// Publish bottom-up: once a level links the node, every lower level
 	// already does, so a reader descending into n never falls off.
 	for i := 0; i < lvl; i++ {
-		update[i].next[i].Store(n)
+		update[i].tower[i].Store(n)
 	}
 	s.length++
 	return nil
@@ -178,14 +211,14 @@ func (s *skiplist) revive(key types.Row, id RowID, dead Seq) bool {
 	return true
 }
 
-// unlink removes an emptied node from every level (top-down, so higher
-// search lanes stop routing through it first) and retires it; update holds
-// its predecessors. A reader already on n keeps following its intact next
-// links until the grace period expires.
+// unlink removes an emptied node from each level it occupies (top-down,
+// so higher search lanes stop routing through it first) and retires it;
+// update holds its predecessors. A reader already on n keeps following
+// its intact next links until the grace period expires.
 func (s *skiplist) unlink(n *slNode, update *[maxLevel]*slNode) {
-	for i := maxLevel - 1; i >= 0; i-- {
-		if update[i].next[i].Load() == n {
-			update[i].next[i].Store(n.next[i].Load())
+	for i := len(n.tower) - 1; i >= 0; i-- {
+		if update[i].tower[i].Load() == n {
+			update[i].tower[i].Store(n.tower[i].Load())
 		}
 	}
 	s.length--
@@ -250,7 +283,7 @@ func (s *skiplist) scanAt(lo, hi types.Row, seq Seq, fn func(key types.Row, id R
 func (s *skiplist) scanRefs(lo, hi types.Row, fn func(key types.Row, r ixRef) bool) {
 	var x *slNode
 	if lo == nil {
-		x = s.head.next[0].Load()
+		x = s.head.tower[0].Load()
 	} else {
 		var update [maxLevel]*slNode
 		x = s.findPredecessors(lo, &update)
@@ -264,14 +297,14 @@ func (s *skiplist) scanRefs(lo, hi types.Row, fn func(key types.Row, r ixRef) bo
 				return
 			}
 		}
-		x = x.next[0].Load()
+		x = x.tower[0].Load()
 	}
 }
 
 // gc drops refs dead at or below the watermark and unlinks emptied nodes.
 func (s *skiplist) gc(watermark Seq) {
 	var emptied []types.Row
-	for x := s.head.next[0].Load(); x != nil; x = x.next[0].Load() {
+	for x := s.head.tower[0].Load(); x != nil; x = x.tower[0].Load() {
 		refs := x.loadRefs()
 		drop := false
 		for i := range refs {

@@ -734,8 +734,12 @@ func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key 
 	if !ix.ordered {
 		return fmt.Errorf("index %q: range scan on hash index", ix.name)
 	}
+	// A one-column key is copied into the hit: it lives inline in its
+	// skiplist node, which may be reused once the epoch is left. Wider
+	// keys are separate immutable clones and are kept by reference.
 	type hit struct {
 		key types.Row
+		k1  [1]types.Value
 		row types.Row
 		ref coldstore.Ref
 	}
@@ -752,12 +756,23 @@ func (t *Table) SnapshotRange(ix *Index, lo, hi types.Row, seq Seq, fn func(key 
 			return true
 		}
 		pl := v.payload.Load()
-		hits = append(hits, hit{key: key, row: pl.row, ref: pl.cold})
+		h := hit{row: pl.row, ref: pl.cold}
+		if len(key) == 1 {
+			h.k1[0] = key[0]
+		} else {
+			h.key = key
+		}
+		hits = append(hits, h)
 		return true
 	})
 	g.Exit()
-	for _, h := range hits {
-		if !fn(h.key, t.resolveVersion(h.row, h.ref)) {
+	for i := range hits {
+		h := &hits[i]
+		key := h.key
+		if key == nil {
+			key = h.k1[:]
+		}
+		if !fn(key, t.resolveVersion(h.row, h.ref)) {
 			return nil
 		}
 	}

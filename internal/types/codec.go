@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Binary encoding of values and rows, shared by the command log, snapshots,
@@ -25,7 +24,7 @@ func EncodeValue(buf []byte, v Value) []byte {
 	case TypeInt, TypeTimestamp:
 		buf = binary.AppendVarint(buf, v.i)
 	case TypeFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.f))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.i))
 	case TypeString:
 		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
 		buf = append(buf, v.s...)
@@ -62,8 +61,7 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 		if len(buf) < 8 {
 			return Null, nil, io.ErrUnexpectedEOF
 		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		return NewFloat(f), buf[8:], nil
+		return Value{typ: TypeFloat, i: int64(binary.LittleEndian.Uint64(buf))}, buf[8:], nil
 	case TypeString:
 		l, n := binary.Uvarint(buf)
 		if n <= 0 || uint64(len(buf)-n) < l {

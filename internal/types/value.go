@@ -65,12 +65,20 @@ func ParseType(name string) (Type, error) {
 
 // Value is a compact tagged union holding one SQL scalar. The zero Value is
 // SQL NULL. Values are immutable; all methods are safe for concurrent use.
+//
+// A FLOAT keeps its IEEE-754 bits in i, so every Value is 32 bytes (type
+// tag, one word, one string header) and rows, index keys and parameter
+// slices carry no field that only one type uses. Struct equality (==,
+// reflect.DeepEqual) therefore compares float bits: -0 and +0 differ and
+// identical NaNs match. SQL equality is Compare/Equal.
 type Value struct {
 	typ Type
-	i   int64 // Bool (0/1), Int, Timestamp
-	f   float64
+	i   int64 // Bool (0/1), Int, Timestamp; Float as math.Float64bits
 	s   string
 }
+
+// fl returns the FLOAT payload stored in i.
+func (v Value) fl() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Null is the SQL NULL value.
 var Null = Value{}
@@ -88,7 +96,7 @@ func NewBool(b bool) Value {
 func NewInt(i int64) Value { return Value{typ: TypeInt, i: i} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(f float64) Value { return Value{typ: TypeFloat, f: f} }
+func NewFloat(f float64) Value { return Value{typ: TypeFloat, i: int64(math.Float64bits(f))} }
 
 // NewString returns a VARCHAR value.
 func NewString(s string) Value { return Value{typ: TypeString, s: s} }
@@ -124,7 +132,7 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.typ {
 	case TypeFloat:
-		return v.f
+		return v.fl()
 	case TypeInt, TypeTimestamp:
 		return float64(v.i)
 	default:
@@ -167,7 +175,7 @@ func (v Value) String() string {
 	case TypeInt:
 		return strconv.FormatInt(v.i, 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.fl(), 'g', -1, 64)
 	case TypeString:
 		return v.s
 	case TypeTimestamp:
@@ -203,14 +211,14 @@ func (v Value) Compare(o Value) int {
 		return cmpInt(v.i, o.i)
 	case TypeInt:
 		if o.typ == TypeFloat {
-			return cmpFloat(float64(v.i), o.f)
+			return cmpFloat(float64(v.i), o.fl())
 		}
 		return cmpInt(v.i, o.i)
 	case TypeFloat:
 		if o.typ == TypeInt {
-			return cmpFloat(v.f, float64(o.i))
+			return cmpFloat(v.fl(), float64(o.i))
 		}
-		return cmpFloat(v.f, o.f)
+		return cmpFloat(v.fl(), o.fl())
 	case TypeString:
 		return strings.Compare(v.s, o.s)
 	default:
@@ -287,9 +295,12 @@ func (v Value) Hash() uint64 {
 		// Hash the float64 representation so 2 and 2.0 collide.
 		h.WriteByte(2)
 		f := v.Float()
-		if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= -1e15 && f <= 1e15 {
+		switch {
+		case f == math.Trunc(f) && !math.IsInf(f, 0) && f >= -1e15 && f <= 1e15:
 			writeUint64(&h, uint64(int64(f)))
-		} else {
+		case math.IsNaN(f): // every NaN compares equal, whatever its payload bits
+			writeUint64(&h, math.Float64bits(math.NaN()))
+		default:
 			writeUint64(&h, math.Float64bits(f))
 		}
 	case TypeString:
@@ -332,8 +343,8 @@ func Coerce(v Value, t Type) (Value, error) {
 	case TypeInt:
 		switch v.typ {
 		case TypeFloat:
-			if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-				return NewInt(int64(v.f)), nil
+			if f := v.fl(); f == math.Trunc(f) && !math.IsInf(f, 0) {
+				return NewInt(int64(f)), nil
 			}
 		case TypeString:
 			if i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64); err == nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -122,6 +123,84 @@ func TestNaNOrderingIsTotal(t *testing.T) {
 	}
 	if nan.Compare(NewFloat(math.Inf(-1))) != -1 {
 		t.Error("NaN must sort before -Inf")
+	}
+}
+
+// TestFloatEdgeValues covers the float payloads whose exact bits a Value
+// must keep: NaNs (with two payloads), signed zeros, infinities and
+// subnormals — through Compare, Hash, struct equality and the codec.
+func TestFloatEdgeValues(t *testing.T) {
+	nanA := math.NaN()
+	nanB := math.Float64frombits(0x7ff8000000000001) // a different NaN payload
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	// Ascending in the storage order; equal neighbours share a group.
+	groups := [][]float64{
+		{nanA, nanB},
+		{math.Inf(-1)},
+		{-math.MaxFloat64},
+		{-sub},
+		{negZero, 0},
+		{sub},
+		{2 * sub},
+		{math.Inf(1)},
+	}
+	var vals []Value
+	var bits []uint64
+	var group []int
+	for g, fs := range groups {
+		for _, f := range fs {
+			vals = append(vals, NewFloat(f))
+			bits = append(bits, math.Float64bits(f))
+			group = append(group, g)
+		}
+	}
+	for i, a := range vals {
+		if got := math.Float64bits(a.Float()); got != bits[i] {
+			t.Fatalf("value %d: Float() bits %#x, want %#x", i, got, bits[i])
+		}
+		for j, b := range vals {
+			want := cmpInt(int64(group[i]), int64(group[j]))
+			if got := a.Compare(b); got != want {
+				t.Errorf("Compare(%v, %v) = %d, want %d", a, b, got, want)
+			}
+			if a.Equal(b) && a.Hash() != b.Hash() {
+				t.Errorf("%v == %v but hashes differ", a, b)
+			}
+		}
+	}
+	if NewFloat(0).Hash() != NewFloat(negZero).Hash() || NewFloat(negZero).Hash() != NewInt(0).Hash() {
+		t.Error("0, -0 and BIGINT 0 compare equal so must hash equal")
+	}
+	// Struct equality compares bits: -0 and +0 differ, a NaN matches itself.
+	if NewFloat(0) == NewFloat(negZero) {
+		t.Error("== must distinguish -0 from +0 (bitwise)")
+	}
+	if NewFloat(nanA) != NewFloat(nanA) {
+		t.Error("== must match identical NaN bits")
+	}
+	if got := NewFloat(negZero).String(); got != "-0" {
+		t.Errorf("String(-0) = %q", got)
+	}
+
+	// The codec carries every payload bit through unchanged.
+	row := Row(vals)
+	out, rest, err := DecodeRow(EncodeRow(nil, row))
+	if err != nil || len(rest) != 0 || len(out) != len(row) {
+		t.Fatalf("DecodeRow: %v (rest %d, %d values)", err, len(rest), len(out))
+	}
+	for i := range row {
+		if out[i].Type() != TypeFloat || math.Float64bits(out[i].Float()) != bits[i] {
+			t.Errorf("value %d: round trip %#x -> %#x", i, bits[i], math.Float64bits(out[i].Float()))
+		}
+	}
+}
+
+// TestValueSize guards the 32-byte layout: rows, index keys and
+// parameter slices are arrays of Values, so a new field grows them all.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
 	}
 }
 

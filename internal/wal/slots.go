@@ -25,8 +25,8 @@ func SlotsPath(dir string) string { return filepath.Join(dir, DefaultSlotsName) 
 // assignment for the stamped partition count).
 var ErrNoSlots = errors.New("wal: no slot table")
 
-// WriteSlots atomically persists the slot table (write-temp + rename, CRC
-// trailer like the snapshots).
+// WriteSlots atomically and durably persists the slot table (write-temp,
+// fsync, rename, fsync the directory; CRC trailer like the snapshots).
 func WriteSlots(path string, t *catalog.SlotTable) error {
 	body := t.Encode()
 	buf := make([]byte, 0, len(body)+4)
@@ -51,6 +51,9 @@ func WriteSlots(path string, t *catalog.SlotTable) error {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("wal: slot table rename: %w", err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("wal: slot table rename: %w", err)
 	}
 	return nil

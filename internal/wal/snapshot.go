@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/catalog"
 	"repro/internal/types"
@@ -26,8 +27,8 @@ type Snapshot struct {
 
 const snapshotMagic = 0x53535451 // "SSTQ"
 
-// WriteSnapshot atomically writes the snapshot of cat to path
-// (write-temp + rename).
+// WriteSnapshot atomically and durably writes the snapshot of cat to path
+// (write-temp, fsync, rename, fsync the directory).
 func WriteSnapshot(path string, cat *catalog.Catalog, meta Snapshot) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -91,7 +92,25 @@ func WriteSnapshot(path string, cat *catalog.Catalog, meta Snapshot) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("wal: snapshot rename: %w", err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("wal: snapshot rename: %w", err)
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory so that a rename into it survives power
+// loss. Without it the new name can be lost after the caller has acted
+// on it — Checkpoint truncates the log once the snapshot is in place.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // ErrNoSnapshot reports that no snapshot file exists.

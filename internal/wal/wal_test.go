@@ -250,3 +250,37 @@ func TestLoadSnapshotMissingFile(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestSyncDir covers the helper that makes snapshot and slot-table
+// renames power-loss durable: it succeeds on a directory, reports a
+// missing one, and both atomic writers leave only the final file behind.
+func TestSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("syncDir(%s): %v", dir, err)
+	}
+	if err := syncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("syncDir on a missing directory succeeded")
+	}
+
+	if err := WriteSnapshot(filepath.Join(dir, "snap.bin"), snapshotCatalog(t), Snapshot{LastLSN: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSlots(SlotsPath(dir), catalog.NewSlotTable(2)); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 || names[0] != "slots.tbl" || names[1] != "snap.bin" {
+		t.Fatalf("directory holds %v, want [slots.tbl snap.bin]", names)
+	}
+	if err := WriteSnapshot(filepath.Join(dir, "missing", "snap.bin"), snapshotCatalog(t), Snapshot{}); err == nil {
+		t.Fatal("WriteSnapshot into a missing directory succeeded")
+	}
+}
