@@ -254,6 +254,29 @@ func BenchmarkOLTPCall(b *testing.B) {
 	}
 }
 
+// BenchmarkCastVote measures the Call-driven Voter procedure — two point
+// SELECTs, an INSERT and an UPDATE in one transaction — on a volatile
+// 2-partition store. Every call votes from a fresh phone, so every call
+// writes.
+func BenchmarkCastVote(b *testing.B) {
+	st := sstore.Open(sstore.Config{Partitions: 2})
+	if err := voter.SetupOLTP(st, 6); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer st.Stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Call("cast_vote", sstore.Int(5_550_000_000+int64(i)),
+			sstore.Int(int64(i%6+1)), sstore.Int(int64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWindowSlide measures native tuple-window maintenance per tuple.
 func BenchmarkWindowSlide(b *testing.B) {
 	st := sstore.Open(sstore.Config{})

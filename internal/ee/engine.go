@@ -95,6 +95,11 @@ func (e *Engine) MarkStreamPersistent(stream string) {
 // batches for trigger bodies, the owning procedure name (for window
 // scoping), and the hook the partition engine uses to observe stream
 // appends (PE triggers fire from those at commit).
+//
+// It also carries statement scratch (evaluation contexts, the probe key,
+// the parameters, rows bound for tables), so a context reused through
+// Reset executes statements without allocating them. A context is used by
+// one goroutine at a time.
 type ExecCtx struct {
 	Undo     *storage.UndoLog
 	ProcName string
@@ -121,6 +126,70 @@ type ExecCtx struct {
 	DisableEETriggers bool
 
 	depth int // trigger cascade depth
+
+	// Statement scratch. Nothing in it outlives the statement that filled
+	// it, and none of it is ever handed to storage to keep, returned in a
+	// Result, or reachable by a snapshot reader (DESIGN.md §1.7).
+	evals   []*evalCtx // LIFO of evaluation contexts; evalTop in use
+	evalTop int
+	params  []types.Value   // depth-0 statement parameters
+	key     types.Row       // index probe key
+	row     types.Row       // rows written to tables, which store copies
+	ids     []storage.RowID // UPDATE / DELETE matches
+	rows    []types.Row     // ... and their current images
+}
+
+// Reset readies the context for the next transaction execution: every
+// field is cleared except the scratch buffers, whose contents are
+// dropped.
+func (c *ExecCtx) Reset() {
+	c.popEval(0)
+	clear(c.params[:cap(c.params)])
+	clear(c.key[:cap(c.key)])
+	clear(c.row[:cap(c.row)])
+	clear(c.rows[:cap(c.rows)])
+	*c = ExecCtx{
+		evals:  c.evals,
+		params: c.params[:0],
+		key:    c.key[:0],
+		row:    c.row[:0],
+		ids:    c.ids[:0],
+		rows:   c.rows[:0],
+	}
+}
+
+// pushEval returns a cleared evaluation context bound to params and subs,
+// and the mark popEval restores. Contexts nest LIFO: a statement's
+// subqueries, joins and index probes take theirs above its own.
+func (c *ExecCtx) pushEval(params []types.Value, subs []subResult) (*evalCtx, int) {
+	mark := c.evalTop
+	if mark == len(c.evals) {
+		c.evals = append(c.evals, new(evalCtx))
+	}
+	ec := c.evals[mark]
+	*ec = evalCtx{params: params, subs: subs}
+	c.evalTop++
+	return ec, mark
+}
+
+// popEval releases the evaluation contexts pushed since mark, dropping
+// their references.
+func (c *ExecCtx) popEval(mark int) {
+	for _, ec := range c.evals[mark:c.evalTop] {
+		*ec = evalCtx{}
+	}
+	c.evalTop = mark
+}
+
+// scratchRow returns a zeroed row of n values from the context. Only rows
+// that storage copies (Table.Insert, Table.Update) may be built in it.
+func (c *ExecCtx) scratchRow(n int) types.Row {
+	if cap(c.row) < n {
+		c.row = make(types.Row, n)
+	}
+	c.row = c.row[:n]
+	clear(c.row)
+	return c.row
 }
 
 // Result is the outcome of one statement.
@@ -160,30 +229,40 @@ func (e *Engine) InvalidateCache() {
 
 // Execute runs a prepared statement. Top-level calls (depth 0) count as a
 // PE→EE crossing; trigger-chained calls count as EE-internal work.
+//
+// params is only read, never kept, so callers' variadic arguments stay on
+// their stacks: a depth-0 statement works on a copy in the context's
+// buffer, and nested ones (trigger bodies, which pass none) on their own.
+// The copy goes to a new variable — assigning it to params would make
+// params escape.
 func (e *Engine) Execute(ctx *ExecCtx, p *Prepared, params ...types.Value) (*Result, error) {
+	var args []types.Value
 	if ctx.depth == 0 {
 		e.met.PEToEE.Add(1)
+		ctx.params = append(ctx.params[:0], params...)
+		args = ctx.params
 	} else {
 		e.met.EEInternal.Add(1)
+		args = append([]types.Value(nil), params...)
 	}
 	switch {
 	case p.sel != nil:
-		return e.execSelect(ctx, p, params)
+		return e.execSelect(ctx, p, args)
 	case p.ins != nil:
 		if ctx.ReadOnly {
 			return nil, fmt.Errorf("ee: INSERT in read-only context")
 		}
-		return e.execInsert(ctx, p.ins, params)
+		return e.execInsert(ctx, p.ins, args)
 	case p.upd != nil:
 		if ctx.ReadOnly {
 			return nil, fmt.Errorf("ee: UPDATE in read-only context")
 		}
-		return e.execUpdate(ctx, p.upd, params)
+		return e.execUpdate(ctx, p.upd, args)
 	case p.del != nil:
 		if ctx.ReadOnly {
 			return nil, fmt.Errorf("ee: DELETE in read-only context")
 		}
-		return e.execDelete(ctx, p.del, params)
+		return e.execDelete(ctx, p.del, args)
 	}
 	return nil, fmt.Errorf("ee: empty prepared statement %q", p.Text)
 }
@@ -481,6 +560,11 @@ func (e *Engine) InsertRows(ctx *ExecCtx, relName string, rows []types.Row) (int
 	if err != nil {
 		return 0, err
 	}
+	return e.insertRel(ctx, rel, rows)
+}
+
+// insertRel is InsertRows on a resolved relation.
+func (e *Engine) insertRel(ctx *ExecCtx, rel *catalog.Relation, rows []types.Row) (int, error) {
 	switch rel.Kind {
 	case catalog.KindTable:
 		for _, r := range rows {
@@ -500,7 +584,7 @@ func (e *Engine) InsertRows(ctx *ExecCtx, relName string, rows []types.Row) (int
 		}
 		return len(rows), nil
 	}
-	return 0, fmt.Errorf("ee: unknown relation kind for %q", relName)
+	return 0, fmt.Errorf("ee: unknown relation kind for %q", rel.Name)
 }
 
 // insertStream appends a batch to a stream and runs the streaming side

@@ -382,3 +382,31 @@ func TestReadOnlyContext(t *testing.T) {
 		t.Errorf("read in read-only ctx: %v", err)
 	}
 }
+
+// TestFilterLeavesTransientBatchIntact: a filtered SELECT over a trigger's
+// NEW relation must not compact the batch in place — later statements of
+// the same trigger (and the partition engine, which logs a procedure's
+// input batch) still read it whole.
+func TestFilterLeavesTransientBatchIntact(t *testing.T) {
+	e := newTestEngine(t, `
+		CREATE STREAM s (v BIGINT);
+		CREATE TABLE big (v BIGINT);
+		CREATE TABLE everything (v BIGINT);`)
+	if err := e.CreateTrigger("split", "s",
+		"INSERT INTO big SELECT v FROM new WHERE v > 1",
+		"INSERT INTO everything SELECT v FROM new"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := freshCtx()
+	batch := []types.Row{{types.NewInt(1)}, {types.NewInt(2)}, {types.NewInt(3)}}
+	if _, err := e.InsertRows(ctx, "s", batch); err != nil {
+		t.Fatal(err)
+	}
+	res := mustExec(t, e, ctx, "SELECT v FROM everything ORDER BY v")
+	if len(res.Rows) != 3 || res.Rows[0][0].Int() != 1 || res.Rows[1][0].Int() != 2 || res.Rows[2][0].Int() != 3 {
+		t.Fatalf("second trigger statement read %v, want (1) (2) (3)", res.Rows)
+	}
+	if n := mustExec(t, e, ctx, "SELECT COUNT(*) FROM big").Rows[0][0].Int(); n != 2 {
+		t.Fatalf("big has %d rows, want 2", n)
+	}
+}

@@ -21,38 +21,95 @@ func (e *Engine) execSelect(ctx *ExecCtx, p *Prepared, params []types.Value) (*R
 	if err != nil {
 		return nil, err
 	}
+	ec, mark := ctx.pushEval(params, subs)
+	defer ctx.popEval(mark)
 	if plan.where != nil {
-		rows, err = filterRows(rows, plan.where, params, subs)
+		// A transient source (a trigger's NEW, a procedure's batch) is the
+		// caller's slice: filter it into a new one.
+		dst := rows[:0]
+		if plan.src.base.transient && len(plan.src.joins) == 0 {
+			dst = nil
+		}
+		rows, err = filterRows(dst, rows, plan.where, ec)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if plan.grouped {
-		rows, err = aggregateRows(rows, plan, params, subs)
+		rows, err = aggregateRows(rows, plan, ec)
 		if err != nil {
 			return nil, err
 		}
 		if plan.having != nil {
-			rows, err = filterRows(rows, plan.having, params, subs)
+			rows, err = filterRows(rows[:0], rows, plan.having, ec)
 			if err != nil {
 				return nil, err
 			}
 		}
 	}
-	// Projection and order-key computation share the input row.
+	var final []types.Row
+	if plan.distinct || len(plan.orderBy) > 0 {
+		if final, err = projectSorted(plan, rows, ec); err != nil {
+			return nil, err
+		}
+	} else {
+		final = make([]types.Row, len(rows))
+		for i, r := range rows {
+			if final[i], err = project(plan, r, ec); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if plan.offset != nil {
+		n, err := evalNonNegInt(plan.offset, ec, "OFFSET")
+		if err != nil {
+			return nil, err
+		}
+		if n >= int64(len(final)) {
+			final = nil
+		} else {
+			final = final[n:]
+		}
+	}
+	if plan.limit != nil {
+		n, err := evalNonNegInt(plan.limit, ec, "LIMIT")
+		if err != nil {
+			return nil, err
+		}
+		if n < int64(len(final)) {
+			final = final[:n]
+		}
+	}
+	return &Result{Columns: p.Columns, Rows: final, RowsAffected: len(final)}, nil
+}
+
+// project evaluates the select list over one input row into a new row.
+func project(plan *selectPlan, r types.Row, ec *evalCtx) (types.Row, error) {
+	ec.row = r
+	out := make(types.Row, len(plan.projs))
+	for i, pr := range plan.projs {
+		v, err := pr.eval(ec)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// projectSorted projects the input for DISTINCT and ORDER BY, which need
+// each output row paired with its order keys (computed from the same
+// input row) before the final order is known.
+func projectSorted(plan *selectPlan, rows []types.Row, ec *evalCtx) ([]types.Row, error) {
 	type outRow struct {
 		out  types.Row
 		keys types.Row
 	}
 	outs := make([]outRow, 0, len(rows))
-	ec := &evalCtx{params: params, subs: subs}
 	for _, r := range rows {
-		ec.row = r
-		out := make(types.Row, len(plan.projs))
-		for i, pr := range plan.projs {
-			if out[i], err = pr.eval(ec); err != nil {
-				return nil, err
-			}
+		out, err := project(plan, r, ec)
+		if err != nil {
+			return nil, err
 		}
 		var keys types.Row
 		if len(plan.orderBy) > 0 {
@@ -103,31 +160,13 @@ func (e *Engine) execSelect(ctx *ExecCtx, p *Prepared, params []types.Value) (*R
 	for i, o := range outs {
 		final[i] = o.out
 	}
-	if plan.offset != nil {
-		n, err := evalNonNegInt(plan.offset, params, "OFFSET")
-		if err != nil {
-			return nil, err
-		}
-		if n >= int64(len(final)) {
-			final = nil
-		} else {
-			final = final[n:]
-		}
-	}
-	if plan.limit != nil {
-		n, err := evalNonNegInt(plan.limit, params, "LIMIT")
-		if err != nil {
-			return nil, err
-		}
-		if n < int64(len(final)) {
-			final = final[:n]
-		}
-	}
-	return &Result{Columns: p.Columns, Rows: final, RowsAffected: len(final)}, nil
+	return final, nil
 }
 
-func evalNonNegInt(c compiled, params []types.Value, what string) (int64, error) {
-	v, err := c.eval(&evalCtx{params: params})
+// evalNonNegInt evaluates a LIMIT or OFFSET expression (no row in scope).
+func evalNonNegInt(c compiled, ec *evalCtx, what string) (int64, error) {
+	ec.row = nil
+	v, err := c.eval(ec)
 	if err != nil {
 		return 0, err
 	}
@@ -138,9 +177,9 @@ func evalNonNegInt(c compiled, params []types.Value, what string) (int64, error)
 	return iv.Int(), nil
 }
 
-func filterRows(rows []types.Row, pred compiled, params []types.Value, subs []subResult) ([]types.Row, error) {
-	out := rows[:0]
-	ec := &evalCtx{params: params, subs: subs}
+// filterRows appends the rows satisfying pred to dst. dst may alias rows
+// (rows[:0]) only when the caller owns rows.
+func filterRows(dst, rows []types.Row, pred compiled, ec *evalCtx) ([]types.Row, error) {
 	for _, r := range rows {
 		ec.row = r
 		v, err := pred.eval(ec)
@@ -148,10 +187,10 @@ func filterRows(rows []types.Row, pred compiled, params []types.Value, subs []su
 			return nil, err
 		}
 		if v.IsTrue() {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // materializeSubs executes each uncorrelated IN-subquery once, building
@@ -192,7 +231,11 @@ func (e *Engine) sourceRows(ctx *ExecCtx, src *sourcePlan, params []types.Value,
 		return nil, err
 	}
 	rows := base
-	ec := &evalCtx{params: params, subs: subs}
+	if len(src.joins) == 0 {
+		return rows, nil
+	}
+	ec, mark := ctx.pushEval(params, subs)
+	defer ctx.popEval(mark)
 	for _, js := range src.joins {
 		joined := make([]types.Row, 0, len(rows))
 		innerWidth := js.access.schema.NumColumns()
@@ -259,16 +302,13 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, outer types.Row, 
 	// (possibly from a client goroutine, concurrently with the partition
 	// worker); everything else reads the writer's current view.
 	snap, seq := ctx.Snapshot, ctx.SnapshotSeq
-	ec := &evalCtx{row: outer, params: params}
+	ec, mark := ctx.pushEval(params, nil)
+	defer ctx.popEval(mark)
+	ec.row = outer
 	if access.index != nil && access.eqKey != nil {
-		key := make(types.Row, len(access.eqKey))
-		for i, kc := range access.eqKey {
-			if key[i], err = kc.eval(ec); err != nil {
-				return nil, err
-			}
-			if key[i].IsNull() {
-				return nil, nil // = NULL matches nothing
-			}
+		key, ok, err := ctx.evalKey(access.eqKey, ec)
+		if !ok {
+			return nil, err
 		}
 		ix := tb.IndexByName(access.index.Name())
 		if ix == nil { // index dropped since prepare
@@ -280,13 +320,13 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, outer types.Row, 
 		if snap {
 			return tb.SnapshotLookup(ix, key, seq), nil
 		}
-		ids, _ := ix.Lookup(key)
-		rows := make([]types.Row, 0, len(ids))
-		for _, id := range ids {
+		var rows []types.Row
+		ix.ForEach(key, func(id storage.RowID) bool {
 			if r, ok := tb.Get(id); ok {
 				rows = append(rows, r)
 			}
-		}
+			return true
+		})
 		return rows, nil
 	}
 	if access.index != nil && (access.lo != nil || access.hi != nil) {
@@ -354,6 +394,25 @@ func (e *Engine) accessRows(ctx *ExecCtx, access *tableAccess, outer types.Row, 
 		return tb.SnapshotRows(seq), nil
 	}
 	return tb.ScanRows(), nil
+}
+
+// evalKey evaluates an index equality probe into the context's key
+// buffer, valid until the next probe. ok is false on an error or a NULL
+// component (= NULL matches nothing).
+func (ctx *ExecCtx) evalKey(eqKey []compiled, ec *evalCtx) (key types.Row, ok bool, err error) {
+	if cap(ctx.key) < len(eqKey) {
+		ctx.key = make(types.Row, len(eqKey))
+	}
+	ctx.key = ctx.key[:len(eqKey)]
+	key = ctx.key
+	for i, kc := range eqKey {
+		v, err := kc.eval(ec)
+		if err != nil || v.IsNull() {
+			return nil, false, err
+		}
+		key[i] = v
+	}
+	return key, true, nil
 }
 
 func equalFold(a, b string) bool {
@@ -467,14 +526,13 @@ func (st *aggState) finalize(spec *aggSpec) types.Value {
 // aggregateRows folds the input into one virtual row per group:
 // [groupKey0..groupKeyK, agg0..aggN]. With no GROUP BY keys there is
 // exactly one group, even over empty input (COUNT(*) = 0).
-func aggregateRows(rows []types.Row, plan *selectPlan, params []types.Value, subs []subResult) ([]types.Row, error) {
+func aggregateRows(rows []types.Row, plan *selectPlan, ec *evalCtx) ([]types.Row, error) {
 	type group struct {
 		key    types.Row
 		states []aggState
 	}
 	groups := make(map[uint64][]*group)
 	var order []*group
-	ec := &evalCtx{params: params, subs: subs}
 	for _, r := range rows {
 		ec.row = r
 		key := make(types.Row, len(plan.groupKeys))
@@ -540,7 +598,11 @@ func (e *Engine) execInsert(ctx *ExecCtx, plan *insertPlan, params []types.Value
 }
 
 func (e *Engine) execInsertInner(ctx *ExecCtx, plan *insertPlan, params []types.Value) (*Result, error) {
-	var srcRows []types.Row
+	rel, err := e.cat.MustRelation(plan.relName)
+	if err != nil {
+		return nil, err
+	}
+	var full []types.Row
 	if plan.query != nil {
 		sub := &Prepared{sel: plan.query}
 		// The subquery executes within the same crossing; bump depth so it
@@ -551,45 +613,67 @@ func (e *Engine) execInsertInner(ctx *ExecCtx, plan *insertPlan, params []types.
 		if err != nil {
 			return nil, err
 		}
-		srcRows = res.Rows
+		full = make([]types.Row, len(res.Rows))
+		for i, src := range res.Rows {
+			full[i] = make(types.Row, plan.arity)
+			for j, ord := range plan.colMap {
+				full[i][ord] = src[j]
+			}
+		}
 	} else {
-		ec := &evalCtx{params: params}
-		for _, exprs := range plan.rows {
-			row := make(types.Row, len(exprs))
-			for i, ce := range exprs {
+		// VALUES rows are built once, in table arity. A table stores its
+		// own validated copy (Table.Insert), so rows bound for one are
+		// context scratch; streams and windows keep the rows they get.
+		n := len(plan.rows) * plan.arity
+		var buf types.Row
+		if rel.Kind == catalog.KindTable {
+			buf = ctx.scratchRow(n)
+		} else {
+			buf = make(types.Row, n)
+		}
+		ec, mark := ctx.pushEval(params, nil)
+		defer ctx.popEval(mark)
+		for i, exprs := range plan.rows {
+			row := buf[i*plan.arity : (i+1)*plan.arity : (i+1)*plan.arity]
+			for j, ce := range exprs {
 				v, err := ce.eval(ec)
 				if err != nil {
 					return nil, err
 				}
-				row[i] = v
+				row[plan.colMap[j]] = v
 			}
-			srcRows = append(srcRows, row)
+		}
+		if rel.Kind == catalog.KindTable {
+			for i := range plan.rows {
+				if _, err := rel.Table.Insert(buf[i*plan.arity:(i+1)*plan.arity], ctx.Undo); err != nil {
+					return nil, err
+				}
+			}
+			return &Result{RowsAffected: len(plan.rows)}, nil
+		}
+		full = make([]types.Row, len(plan.rows))
+		for i := range full {
+			full[i] = buf[i*plan.arity : (i+1)*plan.arity : (i+1)*plan.arity]
 		}
 	}
-	full := make([]types.Row, 0, len(srcRows))
-	for _, src := range srcRows {
-		row := make(types.Row, plan.arity)
-		for i, ord := range plan.colMap {
-			row[ord] = src[i]
-		}
-		full = append(full, row)
-	}
-	n, err := e.InsertRows(ctx, plan.relName, full)
+	n, err := e.insertRel(ctx, rel, full)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: n}, nil
 }
 
-// collectMatches gathers (id, row) pairs matching an access path + filter.
+// collectMatches gathers the (id, row) pairs matching an access path and
+// filter into the context's match scratch, valid until the next
+// statement.
 func (e *Engine) collectMatches(ctx *ExecCtx, access *tableAccess, where compiled, params []types.Value, subs []subResult) (*catalog.Relation, []storage.RowID, []types.Row, error) {
 	rel, err := e.cat.MustRelation(access.relName)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var ids []storage.RowID
-	var rows []types.Row
-	ec := &evalCtx{params: params, subs: subs}
+	ids, rows := ctx.ids[:0], ctx.rows[:0]
+	ec, mark := ctx.pushEval(params, subs)
+	defer ctx.popEval(mark)
 	consider := func(id storage.RowID, r types.Row) error {
 		if where != nil {
 			ec.row = r
@@ -605,40 +689,39 @@ func (e *Engine) collectMatches(ctx *ExecCtx, access *tableAccess, where compile
 		rows = append(rows, r)
 		return nil
 	}
+	var ix *storage.Index
 	if access.index != nil && access.eqKey != nil {
-		if ix := rel.Table.IndexByName(access.index.Name()); ix != nil {
-			key := make(types.Row, len(access.eqKey))
-			for i, kc := range access.eqKey {
-				if key[i], err = kc.eval(&evalCtx{params: params}); err != nil {
-					return nil, nil, nil, err
-				}
-				if key[i].IsNull() {
-					return rel, nil, nil, nil
-				}
-			}
-			got, _ := ix.Lookup(key)
-			for _, id := range got {
-				if r, ok := rel.Table.Get(id); ok {
-					if err := consider(id, r); err != nil {
-						return nil, nil, nil, err
-					}
-				}
-			}
-			return rel, ids, rows, nil
-		}
+		ix = rel.Table.IndexByName(access.index.Name()) // nil: dropped since prepare
 	}
 	var scanErr error
-	rel.Table.Scan(func(id storage.RowID, r types.Row) bool {
-		if err := consider(id, r); err != nil {
-			scanErr = err
-			return false
+	if ix != nil {
+		key, ok, err := ctx.evalKey(access.eqKey, ec)
+		if !ok {
+			return rel, nil, nil, err
 		}
-		return true
-	})
+		ix.ForEach(key, func(id storage.RowID) bool {
+			if r, ok := rel.Table.Get(id); ok {
+				scanErr = consider(id, r)
+			}
+			return scanErr == nil
+		})
+	} else {
+		rel.Table.Scan(func(id storage.RowID, r types.Row) bool {
+			scanErr = consider(id, r)
+			return scanErr == nil
+		})
+	}
+	ctx.ids, ctx.rows = ids, rows
 	if scanErr != nil {
 		return nil, nil, nil, scanErr
 	}
 	return rel, ids, rows, nil
+}
+
+// releaseMatches drops the match scratch's row references.
+func (ctx *ExecCtx) releaseMatches() {
+	clear(ctx.rows)
+	ctx.ids, ctx.rows = ctx.ids[:0], ctx.rows[:0]
 }
 
 func (e *Engine) execUpdate(ctx *ExecCtx, plan *updatePlan, params []types.Value) (*Result, error) {
@@ -651,15 +734,20 @@ func (e *Engine) execUpdate(ctx *ExecCtx, plan *updatePlan, params []types.Value
 		return nil, err
 	}
 	rel, ids, rows, err := e.collectMatches(ctx, &plan.access, plan.where, params, subs)
+	defer ctx.releaseMatches()
 	if err != nil {
 		return nil, err
 	}
 	if rel.Kind != catalog.KindTable {
 		return nil, fmt.Errorf("ee: UPDATE targets tables; %q is a %s", plan.relName, rel.Kind)
 	}
-	uec := &evalCtx{params: params, subs: subs}
+	uec, emark := ctx.pushEval(params, subs)
+	defer ctx.popEval(emark)
 	for i, id := range ids {
-		newRow := rows[i].Clone()
+		// Table.Update stores its own validated copy: the new image is
+		// built in scratch, so each updated row is copied once.
+		newRow := ctx.scratchRow(len(rows[i]))
+		copy(newRow, rows[i])
 		uec.row = rows[i]
 		for _, set := range plan.sets {
 			v, err := set.expr.eval(uec)
@@ -691,6 +779,7 @@ func (e *Engine) execDelete(ctx *ExecCtx, plan *deletePlan, params []types.Value
 		return nil, err
 	}
 	rel, ids, _, err := e.collectMatches(ctx, &plan.access, plan.where, params, subs)
+	defer ctx.releaseMatches()
 	if err != nil {
 		return nil, err
 	}

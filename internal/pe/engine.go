@@ -249,8 +249,21 @@ type Engine struct {
 
 	// localTriggered is the partition worker's private queue of PE-
 	// triggered executions (they are produced and consumed by the worker,
-	// so no locking is needed). Used in ModeWorkflowSerial.
+	// so no locking is needed), consumed from trigHead on. Used in
+	// ModeWorkflowSerial.
 	localTriggered []*txnRequest
+	trigHead       int
+
+	// Execution state the worker resets and reuses for every request it
+	// runs (recovery replay, which runs only while the worker is stopped,
+	// uses it too): the execution context with its statement scratch, the
+	// procedure context, the "batch" transient binding, and the emission
+	// list with its collector hook (DESIGN.md §1.7).
+	wctx    ee.ExecCtx
+	wproc   ProcCtx
+	batch   map[string][]types.Row
+	emits   []emission
+	collect func(string, []storage.RowID, []types.Row)
 }
 
 // New creates a partition engine over an execution engine.
@@ -271,6 +284,8 @@ func New(exec *ee.Engine, cfg Config) *Engine {
 	}
 	e.ackCond = sync.NewCond(&e.ackMu)
 	e.flightCond = sync.NewCond(&e.flightMu)
+	e.batch = make(map[string][]types.Row, 1)
+	e.collect = emissionCollector(&e.emits)
 	return e
 }
 
@@ -604,23 +619,29 @@ func (e *Engine) worker() {
 		runtime.LockOSThread()
 		defer runtime.UnlockOSThread()
 	}
+	// Both queues are consumed by index, not by reslicing, so their
+	// backing arrays are reused instead of reallocated per burst.
 	var pending []*txnRequest
+	next := 0
 	for {
-		if len(e.localTriggered) > 0 {
-			r := e.localTriggered[0]
-			e.localTriggered = e.localTriggered[1:]
+		if e.trigHead < len(e.localTriggered) {
+			r := e.localTriggered[e.trigHead]
+			e.localTriggered[e.trigHead] = nil
+			e.trigHead++
 			e.executeRequest(r)
 			continue
 		}
-		if len(pending) > 0 {
-			r := pending[0]
-			pending = pending[1:]
+		e.localTriggered, e.trigHead = e.localTriggered[:0], 0
+		if next < len(pending) {
+			r := pending[next]
+			pending[next] = nil
+			next++
 			e.executeRequest(r)
 			continue
 		}
 		var ok bool
-		e.localTriggered = e.localTriggered[:0]
 		pending, ok = e.sched.popAll(pending[:0])
+		next = 0
 		if !ok {
 			return
 		}
@@ -878,12 +899,19 @@ func (e *Engine) SnapshotQueryAtSeq(seq storage.Seq, sqlText string, params ...t
 	return e.querySnapshot(p, seq, params)
 }
 
+// snapCtxPool recycles the execution contexts (and their statement
+// scratch) of snapshot reads, which run on callers' goroutines.
+var snapCtxPool = sync.Pool{New: func() any { return new(ee.ExecCtx) }}
+
 // querySnapshot executes a prepared SELECT at the pinned sequence. Runs on
 // the caller's goroutine; touches only immutable plans and versioned
 // storage.
 func (e *Engine) querySnapshot(p *ee.Prepared, seq storage.Seq, params []types.Value) (*Result, error) {
-	ectx := &ee.ExecCtx{ReadOnly: true, Snapshot: true, SnapshotSeq: seq}
+	ectx := snapCtxPool.Get().(*ee.ExecCtx)
+	ectx.ReadOnly, ectx.Snapshot, ectx.SnapshotSeq = true, true, seq
 	res, err := e.ee.Execute(ectx, p, params...)
+	ectx.Reset()
+	snapCtxPool.Put(ectx)
 	if err != nil {
 		return nil, err
 	}
@@ -978,6 +1006,23 @@ type emission struct {
 // the backing arrays, so steady-state execution allocates no undo memory.
 var undoPool = sync.Pool{New: func() any { return storage.NewUndoLog() }}
 
+// execCtx returns the worker's execution context, reset for a new
+// request. Partition worker (or replay) only.
+func (e *Engine) execCtx() *ee.ExecCtx {
+	e.wctx.Reset()
+	return &e.wctx
+}
+
+// releaseExec drops the references a finished request left in the
+// worker's reusable state, so an idle partition retains none of it.
+func (e *Engine) releaseExec() {
+	e.wctx.Reset()
+	e.wproc = ProcCtx{}
+	clear(e.emits)
+	e.emits = e.emits[:0]
+	delete(e.batch, "batch")
+}
+
 func (e *Engine) executeRequest(r *txnRequest) {
 	start := time.Now()
 	if r.tracked {
@@ -988,8 +1033,10 @@ func (e *Engine) executeRequest(r *txnRequest) {
 		defer e.graphDone(r.graph)
 	}
 	if r.kind == reqQuery {
-		ectx := &ee.ExecCtx{ReadOnly: true}
+		ectx := e.execCtx()
+		ectx.ReadOnly = true
 		res, err := e.ee.ExecSQL(ectx, r.sqlText, r.params...)
+		e.releaseExec()
 		r.respond(res, err)
 		return
 	}
@@ -1008,8 +1055,10 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	}
 	if r.kind == reqExec {
 		undo := undoPool.Get().(*storage.UndoLog)
-		ectx := &ee.ExecCtx{Undo: undo, DisableEETriggers: e.cfg.HStoreMode}
+		ectx := e.execCtx()
+		ectx.Undo, ectx.DisableEETriggers = undo, e.cfg.HStoreMode
 		res, err := e.ee.ExecSQL(ectx, r.sqlText, r.params...)
+		e.releaseExec()
 		if err != nil {
 			undo.Rollback()
 			e.met.TxnAborted.Add(1)
@@ -1027,20 +1076,21 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	txnID := e.nextTxnID
 	undo := undoPool.Get().(*storage.UndoLog)
 	defer func() {
+		e.releaseExec()
 		undo.Release()
 		undoPool.Put(undo)
 	}()
-	var emits []emission
-	ectx := &ee.ExecCtx{
-		Undo:              undo,
-		ProcName:          r.proc.Name,
-		DisableEETriggers: e.cfg.HStoreMode,
-		OnStreamInsert:    emissionCollector(&emits),
-	}
+	ectx := e.execCtx()
+	ectx.Undo = undo
+	ectx.ProcName = r.proc.Name
+	ectx.DisableEETriggers = e.cfg.HStoreMode
+	ectx.OnStreamInsert = e.collect
 	if r.batch != nil {
-		ectx.NewRows = map[string][]types.Row{"batch": r.batch}
+		e.batch["batch"] = r.batch
+		ectx.NewRows = e.batch
 	}
-	pctx := &ProcCtx{
+	pctx := &e.wproc
+	*pctx = ProcCtx{
 		pe:      e,
 		ectx:    ectx,
 		Proc:    r.proc,
@@ -1119,7 +1169,7 @@ func (e *Engine) executeRequest(r *txnRequest) {
 	// PE triggers: emitted batches become downstream transaction
 	// executions, enqueued ahead of pending border work (ModeWorkflowSerial)
 	// so the workflow chain for batch b completes before batch b+1 starts.
-	continued := e.dispatchEmits(emits, r.batchID, r.origin, r.replay)
+	continued := e.dispatchEmits(e.emits, r.batchID, r.origin, r.replay)
 
 	// Per-dataflow accounting. Latency is observed only where the chain
 	// ends (no dispatched descendants), so the graph's histogram holds

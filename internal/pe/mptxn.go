@@ -280,21 +280,19 @@ func (e *Engine) executeMP(r *txnRequest) {
 	start := time.Now()
 	undo := undoPool.Get().(*storage.UndoLog)
 	defer func() {
+		e.releaseExec()
 		undo.Release()
 		undoPool.Put(undo)
 	}()
-	var emits []emission
-	ectx := &ee.ExecCtx{
-		Undo:              undo,
-		DisableEETriggers: e.cfg.HStoreMode,
-	}
+	ectx := e.execCtx()
+	ectx.Undo, ectx.DisableEETriggers = undo, e.cfg.HStoreMode
 	// Only logged (application-level) transactions drive workflows: they
 	// are procedure-like, and their replay re-derives the triggered work.
 	// Unlogged ad-hoc legs match single-partition ad-hoc Exec, which never
 	// fires PE triggers — the same statement must not behave differently
 	// just because its tuples happened to span partitions.
 	if s.logged {
-		ectx.OnStreamInsert = emissionCollector(&emits)
+		ectx.OnStreamInsert = e.collect
 	}
 	var ops []LoggedOp
 	wrote := false
@@ -351,7 +349,7 @@ func (e *Engine) executeMP(r *txnRequest) {
 			close(s.published) // in-memory commit visible; acks may lag
 			e.met.TxnCommitted.Add(1)
 			e.met.MPLegsCommitted.Add(1)
-			e.dispatchEmits(emits, 0, r.origin, r.replay)
+			e.dispatchEmits(e.emits, 0, r.origin, r.replay)
 			e.met.ObserveLatency(time.Since(start))
 			r.respond(nil, nil)
 			return
@@ -375,12 +373,8 @@ func (e *Engine) replayPreparedLeg(rec *LogRecord) error {
 		}
 	}
 	undo := storage.NewUndoLog()
-	var emits []emission
-	ectx := &ee.ExecCtx{
-		Undo:              undo,
-		DisableEETriggers: e.cfg.HStoreMode,
-		OnStreamInsert:    emissionCollector(&emits),
-	}
+	ectx := e.execCtx()
+	ectx.Undo, ectx.DisableEETriggers, ectx.OnStreamInsert = undo, e.cfg.HStoreMode, e.collect
 	for _, op := range rec.Ops {
 		var err error
 		if op.Table != "" {
@@ -390,19 +384,22 @@ func (e *Engine) replayPreparedLeg(rec *LogRecord) error {
 		}
 		if err != nil {
 			undo.Rollback()
+			e.releaseExec()
 			return fmt.Errorf("pe: replay of prepared mp leg %d: %w", rec.MPTxnID, err)
 		}
 	}
 	undo.Release()
 	e.commitPublish()
 	e.replaying = true
-	e.dispatchEmits(emits, 0, time.Time{}, true)
+	e.dispatchEmits(e.emits, 0, time.Time{}, true)
+	e.releaseExec()
 	return e.drainReplayDerived()
 }
 
 // emissionCollector returns the OnStreamInsert hook that merges a
 // transaction's stream emissions per stream — shared by the local commit,
-// multi-partition commit, and prepared-leg replay paths.
+// multi-partition commit, and prepared-leg replay paths through the
+// worker's emission list.
 func emissionCollector(emits *[]emission) func(string, []storage.RowID, []types.Row) {
 	return func(stream string, ids []storage.RowID, rows []types.Row) {
 		es := *emits

@@ -71,7 +71,8 @@ func SharedWritableTables(procs []*Procedure) []string {
 
 // ProcCtx is the interface the control code sees: its input (batch or
 // parameters), and SQL/stream access routed through the execution engine
-// under the transaction's undo log.
+// under the transaction's undo log. The partition reuses one ProcCtx for
+// every execution, so it is valid only until the handler returns.
 type ProcCtx struct {
 	pe   *Engine
 	ectx *ee.ExecCtx

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/types"
 )
@@ -215,9 +216,18 @@ func TestEpochReaderEvictorTruncateHammer(t *testing.T) {
 		}(int64(r))
 	}
 
-	// The worker: one mutator, exactly as in the engine.
+	// The worker: one mutator, exactly as in the engine. It runs at least
+	// rounds rounds, then keeps going until reclamation has been observed:
+	// on a small host the spinning readers can stall every epoch advance
+	// of a short run. The deadline is generous; the check after the loop
+	// is as strict as ever.
+	reclaimed := func() bool {
+		_, _, retired, reused := clock.Epochs().Stats()
+		return retired > 0 && reused > 0
+	}
+	deadline := time.Now().Add(time.Minute)
 	ids := make(map[int64]RowID, nKeys)
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < rounds || (!reclaimed() && time.Now().Before(deadline)); round++ {
 		if round%9 == 8 {
 			tb.Truncate(nil)
 			ids = make(map[int64]RowID, nKeys)

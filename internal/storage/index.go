@@ -24,6 +24,21 @@ type ixRef struct {
 
 func (r ixRef) visibleAt(seq Seq) bool { return r.born <= seq && seq < r.dead }
 
+// oneRef is a one-ref slice together with its header, so a new key's ref
+// list — the common state of a key, one live version — is published with
+// a single allocation.
+type oneRef struct {
+	refs []ixRef
+	arr  [1]ixRef
+}
+
+// singleRef returns a publishable pointer to the ref list {r}.
+func singleRef(r ixRef) *[]ixRef {
+	b := &oneRef{arr: [1]ixRef{r}}
+	b.refs = b.arr[:]
+	return &b.refs
+}
+
 // Index maps key tuples (a projection of the row) to RowIDs. Two physical
 // layouts exist behind the same API: a hash index (point lookups only) and
 // an ordered skiplist index (point + range scans). Unique indexes hold at
@@ -37,6 +52,10 @@ func (r ixRef) visibleAt(seq Seq) bool { return r.born <= seq && seq < r.dead }
 // view; everything it can still see there is either dead at or below the
 // watermark (invisible at any pinned sequence) or pending (invisible at
 // any published one).
+//
+// Indexes copy every key they store, and no method keeps the key it is
+// passed (error paths format a clone). Callers may therefore build keys
+// in stack or scratch buffers and reuse them as soon as the call returns.
 type Index struct {
 	name    string
 	cols    []int
@@ -50,10 +69,25 @@ type Index struct {
 
 // hashKey is one distinct key of a hash bucket. key is immutable; refs is
 // replaced copy-on-write. The node itself is never recycled, so a stale
-// reader holding it is always safe.
+// reader holding it is always safe. A one-column key lives in k1 (key
+// aliases it), so the common node is one allocation; wider keys are
+// cloned.
 type hashKey struct {
 	key  types.Row
 	refs atomic.Pointer[[]ixRef]
+	k1   [1]types.Value
+}
+
+// newHashKey returns a node holding its own copy of key.
+func newHashKey(key types.Row) *hashKey {
+	nk := &hashKey{}
+	if len(key) == 1 {
+		nk.k1[0] = key[0]
+		nk.key = nk.k1[:]
+	} else {
+		nk.key = key.Clone()
+	}
+	return nk
 }
 
 func (k *hashKey) loadRefs() []ixRef {
@@ -118,7 +152,7 @@ func (ix *Index) insert(key types.Row, id RowID, born Seq) error {
 	if k := findKey(keys, key); k != nil {
 		refs := k.loadRefs()
 		if ix.unique && liveRef(refs) >= 0 {
-			return fmt.Errorf("index %q: duplicate key %v", ix.name, key)
+			return fmt.Errorf("index %q: duplicate key %v", ix.name, key.Clone())
 		}
 		nw := make([]ixRef, len(refs)+1)
 		copy(nw, refs)
@@ -127,9 +161,8 @@ func (ix *Index) insert(key types.Row, id RowID, born Seq) error {
 		ix.size.Add(1)
 		return nil
 	}
-	nk := &hashKey{key: key.Clone()}
-	rs := []ixRef{{id: id, born: born, dead: SeqInf}}
-	nk.refs.Store(&rs)
+	nk := newHashKey(key)
+	nk.refs.Store(singleRef(ixRef{id: id, born: born, dead: SeqInf}))
 	nb := make([]*hashKey, len(keys)+1)
 	copy(nb, keys)
 	nb[len(keys)] = nk
@@ -270,53 +303,52 @@ func reviveRef(refs []ixRef, id RowID, dead Seq) int {
 	return best
 }
 
+// refsFor returns the immutable ref slice published under exactly key
+// (nil when the key is absent). Safe from reader goroutines inside an
+// epoch; the worker may call it bare.
+func (ix *Index) refsFor(key types.Row) []ixRef {
+	if ix.ordered {
+		return ix.sl.refsFor(key)
+	}
+	if k := findKey(ix.bucket(key.Hash()), key); k != nil {
+		return k.loadRefs()
+	}
+	return nil
+}
+
 // Lookup returns the RowIDs live under exactly key (writer view, including
 // the running transaction's own changes). The second result reports
 // whether any exist.
 func (ix *Index) Lookup(key types.Row) ([]RowID, bool) {
-	if ix.ordered {
-		ids := ix.sl.lookup(key)
-		return ids, len(ids) > 0
-	}
-	k := findKey(ix.bucket(key.Hash()), key)
-	if k == nil {
-		return nil, false
-	}
 	var ids []RowID
-	for _, r := range k.loadRefs() {
-		if r.dead == SeqInf {
-			ids = append(ids, r.id)
-		}
-	}
+	ix.ForEach(key, func(id RowID) bool {
+		ids = append(ids, id)
+		return true
+	})
 	return ids, len(ids) > 0
 }
 
-// lookupAt returns the RowIDs visible under key at sequence s. Safe from
-// reader goroutines inside an epoch.
-func (ix *Index) lookupAt(key types.Row, seq Seq) []RowID {
-	if ix.ordered {
-		return ix.sl.lookupAt(key, seq)
-	}
-	k := findKey(ix.bucket(key.Hash()), key)
-	if k == nil {
-		return nil
-	}
-	var ids []RowID
-	for _, r := range k.loadRefs() {
-		if r.visibleAt(seq) {
-			ids = append(ids, r.id)
+// ForEach calls fn with each RowID live under exactly key (writer view),
+// stopping early when fn returns false. Unlike Lookup it builds no slice.
+func (ix *Index) ForEach(key types.Row, fn func(id RowID) bool) {
+	for _, r := range ix.refsFor(key) {
+		if r.dead == SeqInf && !fn(r.id) {
+			return
 		}
 	}
-	return ids
 }
+
+// Contains reports whether any RowID is live under exactly key (writer
+// view) — the uniqueness check.
+func (ix *Index) Contains(key types.Row) bool { return liveRef(ix.refsFor(key)) >= 0 }
 
 // LookupUnique returns the single live RowID for key on a unique index.
 func (ix *Index) LookupUnique(key types.Row) (RowID, bool) {
-	ids, ok := ix.Lookup(key)
-	if !ok || len(ids) == 0 {
-		return 0, false
+	refs := ix.refsFor(key)
+	if j := liveRef(refs); j >= 0 {
+		return refs[j].id, true
 	}
-	return ids[0], true
+	return 0, false
 }
 
 // Range iterates live (key, id) pairs with lo <= key <= hi in key order.

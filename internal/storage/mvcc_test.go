@@ -157,7 +157,7 @@ func TestRollbackInvisibleToSnapshots(t *testing.T) {
 	if ids, _ := tb.PrimaryIndex().Lookup(types.Row{types.NewInt(1)}); len(ids) != 1 {
 		t.Fatalf("pk ref after rollback: %v", ids)
 	}
-	if ids := tb.PrimaryIndex().lookupAt(types.Row{types.NewInt(9)}, clock.Current()+10); len(ids) != 0 {
+	if ids := lookupAt(tb.PrimaryIndex().refsFor, types.Row{types.NewInt(9)}, clock.Current()+10); len(ids) != 0 {
 		t.Fatalf("aborted insert left index ref: %v", ids)
 	}
 }

@@ -126,7 +126,7 @@ func (s *skiplist) insert(key types.Row, id RowID, born Seq, unique bool) error 
 	if cand != nil && cand.key.Compare(key) == 0 {
 		refs := cand.loadRefs()
 		if unique && liveRef(refs) >= 0 {
-			return fmt.Errorf("duplicate key %v", key)
+			return fmt.Errorf("duplicate key %v", key.Clone())
 		}
 		nw := make([]ixRef, len(refs)+1)
 		copy(nw, refs)
@@ -137,8 +137,7 @@ func (s *skiplist) insert(key types.Row, id RowID, born Seq, unique bool) error 
 	lvl := s.randLevel()
 	n := slNodePool.Get().(*slNode)
 	n.init(key, lvl)
-	rs := []ixRef{{id: id, born: born, dead: SeqInf}}
-	n.refs.Store(&rs)
+	n.refs.Store(singleRef(ixRef{id: id, born: born, dead: SeqInf}))
 	for i := 0; i < lvl; i++ {
 		n.tower[i].Store(update[i].tower[i].Load())
 	}
@@ -225,37 +224,15 @@ func (s *skiplist) unlink(n *slNode, update *[maxLevel]*slNode) {
 	s.em.RetireSLNode(n)
 }
 
-// lookup returns the live ids under key (writer view).
-func (s *skiplist) lookup(key types.Row) []RowID {
+// refsFor returns the ref slice of key's node, or nil when key has no
+// node. Safe from reader goroutines inside an epoch.
+func (s *skiplist) refsFor(key types.Row) []ixRef {
 	var update [maxLevel]*slNode
 	cand := s.findPredecessors(key, &update)
 	if cand == nil || cand.key.Compare(key) != 0 {
 		return nil
 	}
-	var ids []RowID
-	for _, r := range cand.loadRefs() {
-		if r.dead == SeqInf {
-			ids = append(ids, r.id)
-		}
-	}
-	return ids
-}
-
-// lookupAt returns the ids visible under key at sequence s. Safe from
-// reader goroutines inside an epoch.
-func (s *skiplist) lookupAt(key types.Row, seq Seq) []RowID {
-	var update [maxLevel]*slNode
-	cand := s.findPredecessors(key, &update)
-	if cand == nil || cand.key.Compare(key) != 0 {
-		return nil
-	}
-	var ids []RowID
-	for _, r := range cand.loadRefs() {
-		if r.visibleAt(seq) {
-			ids = append(ids, r.id)
-		}
-	}
-	return ids
+	return cand.loadRefs()
 }
 
 // scan visits live refs with keys in [lo, hi] (nil = unbounded) in

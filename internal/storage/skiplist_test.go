@@ -26,7 +26,7 @@ func TestSkiplistInsertLookupRemove(t *testing.T) {
 	if err := sl.insert(intKey(50), 999, 2, true); err == nil {
 		t.Fatal("unique violation accepted")
 	}
-	if ids := sl.lookup(intKey(50)); len(ids) != 1 || ids[0] != 51 {
+	if ids := lookup(sl.refsFor, intKey(50)); len(ids) != 1 || ids[0] != 51 {
 		t.Fatalf("lookup: %v", ids)
 	}
 	if !sl.remove(intKey(50), 51, 2) {
@@ -37,14 +37,14 @@ func TestSkiplistInsertLookupRemove(t *testing.T) {
 	}
 	// Writer view no longer sees the entry; a snapshot below the death
 	// sequence still does, until GC passes the watermark.
-	if ids := sl.lookup(intKey(50)); ids != nil {
+	if ids := lookup(sl.refsFor, intKey(50)); ids != nil {
 		t.Fatal("lookup after remove")
 	}
-	if ids := sl.lookupAt(intKey(50), 1); len(ids) != 1 || ids[0] != 51 {
+	if ids := lookupAt(sl.refsFor, intKey(50), 1); len(ids) != 1 || ids[0] != 51 {
 		t.Fatalf("snapshot lookup after remove: %v", ids)
 	}
 	sl.gc(2)
-	if ids := sl.lookupAt(intKey(50), 1); ids != nil {
+	if ids := lookupAt(sl.refsFor, intKey(50), 1); ids != nil {
 		t.Fatalf("snapshot lookup after gc: %v", ids)
 	}
 	if sl.length != 99 {
@@ -59,7 +59,7 @@ func TestSkiplistDuplicateKeysNonUnique(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ids := sl.lookup(intKey(7)); len(ids) != 5 {
+	if ids := lookup(sl.refsFor, intKey(7)); len(ids) != 5 {
 		t.Fatalf("dup ids: %v", ids)
 	}
 	if sl.length != 1 {
@@ -74,7 +74,7 @@ func TestSkiplistDuplicateKeysNonUnique(t *testing.T) {
 			t.Fatal("remove")
 		}
 	}
-	if ids := sl.lookup(intKey(7)); ids != nil {
+	if ids := lookup(sl.refsFor, intKey(7)); ids != nil {
 		t.Fatalf("live ids after drain: %v", ids)
 	}
 	sl.gc(2)
@@ -298,4 +298,26 @@ func TestSkiplistBoundedScan(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("early stop n=%d", n)
 	}
+}
+
+// lookup returns the live ids in refs(key), nil when none.
+func lookup(refs func(types.Row) []ixRef, key types.Row) []RowID {
+	var ids []RowID
+	for _, r := range refs(key) {
+		if r.dead == SeqInf {
+			ids = append(ids, r.id)
+		}
+	}
+	return ids
+}
+
+// lookupAt returns the ids in refs(key) visible at seq, nil when none.
+func lookupAt(refs func(types.Row) []ixRef, key types.Row, seq Seq) []RowID {
+	var ids []RowID
+	for _, r := range refs(key) {
+		if r.visibleAt(seq) {
+			ids = append(ids, r.id)
+		}
+	}
+	return ids
 }

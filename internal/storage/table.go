@@ -308,6 +308,16 @@ func (t *Table) Get(id RowID) (types.Row, bool) {
 	return t.faultHead(s), true
 }
 
+// keyBuf is stack room for one index key: keyOf builds keys of up to
+// four columns into it without allocating. Indexes copy the keys they
+// store, so the buffer is free again as soon as the index call returns.
+type keyBuf [4]types.Value
+
+// keyOf builds row's key for ix in buf.
+func (ix *Index) keyOf(row types.Row, buf *keyBuf) types.Row {
+	return row.AppendKey(buf[:0], ix.cols)
+}
+
 // Insert validates the row against the schema, assigns a RowID, and updates
 // every index. The new version is stamped with the pending sequence, so it
 // is invisible to snapshots until the clock publishes. When undo is non-nil
@@ -320,11 +330,13 @@ func (t *Table) Insert(row types.Row, undo *UndoLog) (RowID, error) {
 	// Check unique constraints before touching any state so a failed insert
 	// leaves the table untouched.
 	for _, ix := range t.idxs() {
-		if ix.unique {
-			if _, exists := ix.Lookup(validated.Key(ix.cols)); exists {
-				return 0, fmt.Errorf("storage: %s: duplicate key %v for unique index %q",
-					t.name, validated.Key(ix.cols), ix.Name())
-			}
+		if !ix.unique {
+			continue
+		}
+		var kb keyBuf
+		if key := ix.keyOf(validated, &kb); ix.Contains(key) {
+			return 0, fmt.Errorf("storage: %s: duplicate key %v for unique index %q",
+				t.name, key.Clone(), ix.Name())
 		}
 	}
 	ws := t.clock.WriteSeq()
@@ -335,7 +347,8 @@ func (t *Table) Insert(row types.Row, undo *UndoLog) (RowID, error) {
 	t.byID[id] = s
 	t.appendSlot(s)
 	for _, ix := range t.idxs() {
-		if err := ix.insert(validated.Key(ix.cols), id, ws); err != nil {
+		var kb keyBuf
+		if err := ix.insert(ix.keyOf(validated, &kb), id, ws); err != nil {
 			panic("storage: index insert failed after uniqueness pre-check: " + err.Error())
 		}
 	}
@@ -366,7 +379,8 @@ func (t *Table) Delete(id RowID, undo *UndoLog) error {
 	}
 	ws := t.clock.WriteSeq()
 	for _, ix := range t.idxs() {
-		ix.remove(row.Key(ix.cols), id, ws)
+		var kb keyBuf
+		ix.remove(ix.keyOf(row, &kb), id, ws)
 	}
 	h.dead.Store(ws)
 	t.live.Add(-1)
@@ -380,8 +394,9 @@ func (t *Table) Delete(id RowID, undo *UndoLog) error {
 
 // Update ends the current version at the pending sequence and prepends a
 // new one, revalidating and reindexing (index entries whose key is
-// unchanged carry over). When undo is non-nil a compensating restore is
-// recorded.
+// unchanged carry over). The table stores its own copy of newRow, so the
+// caller may reuse it once Update returns. When undo is non-nil a
+// compensating restore is recorded.
 func (t *Table) Update(id RowID, newRow types.Row, undo *UndoLog) error {
 	s, ok := t.byID[id]
 	if !ok {
@@ -404,18 +419,20 @@ func (t *Table) Update(id RowID, newRow types.Row, undo *UndoLog) error {
 		if !ix.unique {
 			continue
 		}
-		newKey := validated.Key(ix.cols)
-		if newKey.Equal(old.Key(ix.cols)) {
+		var ob, nb keyBuf
+		newKey := ix.keyOf(validated, &nb)
+		if newKey.Equal(ix.keyOf(old, &ob)) {
 			continue
 		}
-		if _, exists := ix.Lookup(newKey); exists {
+		if ix.Contains(newKey) {
 			return fmt.Errorf("storage: %s: duplicate key %v for unique index %q",
-				t.name, newKey, ix.Name())
+				t.name, newKey.Clone(), ix.Name())
 		}
 	}
 	ws := t.clock.WriteSeq()
 	for _, ix := range t.idxs() {
-		oldKey, newKey := old.Key(ix.cols), validated.Key(ix.cols)
+		var ob, nb keyBuf
+		oldKey, newKey := ix.keyOf(old, &ob), ix.keyOf(validated, &nb)
 		if oldKey.Equal(newKey) {
 			continue
 		}
@@ -462,7 +479,8 @@ func (t *Table) undoInsert(id RowID) {
 	}
 	row := h.payload.Load().row // pending versions are never evicted
 	for _, ix := range t.idxs() {
-		ix.eraseLive(row.Key(ix.cols), id)
+		var kb keyBuf
+		ix.eraseLive(ix.keyOf(row, &kb), id)
 	}
 	s.head.Store(nil)
 	delete(t.byID, id)
@@ -483,7 +501,8 @@ func (t *Table) undoDelete(id RowID) {
 	d := h.dead.Load()
 	row := h.payload.Load().row // faulted hot by the Delete being undone
 	for _, ix := range t.idxs() {
-		ix.revive(row.Key(ix.cols), id, d)
+		var kb keyBuf
+		ix.revive(ix.keyOf(row, &kb), id, d)
 	}
 	h.dead.Store(SeqInf)
 	t.live.Add(1)
@@ -508,7 +527,8 @@ func (t *Table) undoUpdate(id RowID) {
 	newRow := newV.payload.Load().row
 	oldRow := oldV.payload.Load().row // faulted hot by the Update being undone
 	for _, ix := range t.idxs() {
-		oldKey, newKey := oldRow.Key(ix.cols), newRow.Key(ix.cols)
+		var ob, nb keyBuf
+		oldKey, newKey := ix.keyOf(oldRow, &ob), ix.keyOf(newRow, &nb)
 		if oldKey.Equal(newKey) {
 			continue
 		}
@@ -703,9 +723,13 @@ func (t *Table) SnapshotLookup(ix *Index, key types.Row, seq Seq) []types.Row {
 	g := t.clock.Epochs().Enter()
 	d := t.slots()
 	var out []types.Row
-	var refs []coldstore.Ref // cold refs, paired with nil entries in out
-	for _, id := range ix.lookupAt(key, seq) {
-		if s := slotByID(d, id); s != nil {
+	var refBuf [1]coldstore.Ref // a unique key's one hit needs no heap
+	refs := refBuf[:0]          // cold refs, paired with nil entries in out
+	for _, r := range ix.refsFor(key) {
+		if !r.visibleAt(seq) {
+			continue
+		}
+		if s := slotByID(d, r.id); s != nil {
 			if v := s.versionAt(seq); v != nil {
 				s.touch()
 				pl := v.payload.Load()
@@ -877,7 +901,7 @@ func (t *Table) PrecheckStaged() error {
 				continue
 			}
 			key := s.head.Load().payload.Load().row.Key(ix.cols)
-			if _, exists := ix.Lookup(key); exists {
+			if ix.Contains(key) {
 				return fmt.Errorf("storage: %s: staged row collides on key %v of unique index %q",
 					t.name, key, ix.Name())
 			}

@@ -97,11 +97,16 @@ func (r Row) Clone() Row { return append(Row(nil), r...) }
 
 // Key extracts the values at the given ordinals (used for index keys).
 func (r Row) Key(ordinals []int) Row {
-	k := make(Row, len(ordinals))
-	for i, o := range ordinals {
-		k[i] = r[o]
+	return r.AppendKey(make(Row, 0, len(ordinals)), ordinals)
+}
+
+// AppendKey appends the values at the given ordinals to dst and returns
+// the extended row: Key into a caller-owned (typically stack) buffer.
+func (r Row) AppendKey(dst Row, ordinals []int) Row {
+	for _, o := range ordinals {
+		dst = append(dst, r[o])
 	}
-	return k
+	return dst
 }
 
 // Equal reports element-wise equality of two rows.
