@@ -7,6 +7,7 @@
 package client
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -40,6 +41,7 @@ type Conn interface {
 type TCP struct {
 	mu   sync.Mutex
 	conn net.Conn
+	br   *bufio.Reader // frames are read through it: one read syscall per small response
 }
 
 // DialTCP connects to a server address.
@@ -48,7 +50,7 @@ func DialTCP(addr string) (*TCP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	return &TCP{conn: conn}, nil
+	return &TCP{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
 func (c *TCP) roundTrip(req *wire.Request) (*wire.Response, error) {
@@ -57,7 +59,7 @@ func (c *TCP) roundTrip(req *wire.Request) (*wire.Response, error) {
 	if err := wire.WriteFrame(c.conn, wire.EncodeRequest(req)); err != nil {
 		return nil, err
 	}
-	payload, err := wire.ReadFrame(c.conn)
+	payload, err := wire.ReadFrame(c.br)
 	if err != nil {
 		return nil, err
 	}

@@ -42,3 +42,36 @@ func TestAllocsCastVote(t *testing.T) {
 		t.Fatalf("%.0f allocs per cast_vote call, bound 22", got)
 	}
 }
+
+// TestAllocsPointQuery guards the dashboard's point read, a SELECT pinning
+// the partition key, which runs on the key's owning partition alone: the
+// caller's argument slice, the subquery check's expression list, the
+// merge plan's shape check (two), the leg's source rows, projected row and
+// result slice, and the two Results. The bound is the count measured when
+// single-partition pruning landed and only ratchets down.
+func TestAllocsPointQuery(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	st := core.Open(core.Config{Partitions: 2})
+	if err := voter.SetupOLTP(st, 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Stop()
+	const phone = 5_550_000_001
+	if _, err := st.Call("cast_vote", types.NewInt(phone), types.NewInt(3), types.NewInt(1)); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(500, func() {
+		res, err := st.Query("SELECT contestant FROM votes WHERE phone = ?", types.NewInt(phone))
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("point query: %v %v", res, err)
+		}
+	})
+	if got > 9 {
+		t.Fatalf("%.0f allocs per point query, bound 9", got)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode"
 
 	"repro/internal/catalog"
 	"repro/internal/pe"
@@ -565,6 +566,10 @@ func (s *Store) ExplainDataflow(name string) (string, error) {
 // client: sstorecli can declare and deploy a whole graph without the Go
 // API.
 func (s *Store) dataflowStatement(sqlText string) (*pe.Result, bool, error) {
+	if kw := leadingWord(sqlText); !strings.EqualFold(kw, "SHOW") &&
+		!strings.EqualFold(kw, "EXPLAIN") && !strings.EqualFold(kw, "DEPLOY") {
+		return nil, false, nil // every other statement: decided without allocating
+	}
 	fields := strings.Fields(strings.TrimSuffix(strings.TrimSpace(sqlText), ";"))
 	switch {
 	case len(fields) == 2 && strings.EqualFold(fields[0], "SHOW") && strings.EqualFold(fields[1], "DATAFLOWS"):
@@ -592,6 +597,17 @@ func (s *Store) dataflowStatement(sqlText string) (*pe.Result, bool, error) {
 			Rows: []types.Row{{types.NewString(dd.Name)}}, RowsAffected: 1}, true, nil
 	}
 	return nil, false, nil
+}
+
+// leadingWord returns the first field strings.Fields would split from the
+// statement as the intercepting prefilters see it (trimmed, one trailing
+// ';' dropped), without allocating.
+func leadingWord(sqlText string) string {
+	t := strings.TrimSuffix(strings.TrimSpace(sqlText), ";")
+	if i := strings.IndexFunc(t, unicode.IsSpace); i >= 0 {
+		return t[:i]
+	}
+	return t
 }
 
 // dataflowFromAST converts a parsed DEPLOY DATAFLOW statement into the

@@ -105,15 +105,9 @@ func (s *Store) QueryPinned(pin *SnapshotPin, sqlText string, params ...types.Va
 	s.routeMu.RLock()
 	results := make([]*pe.Result, len(pin.parts))
 	errs := make([]error, len(pin.parts))
-	var wg sync.WaitGroup
-	for i := range pin.parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = pin.parts[i].pe.QueryAtSeq(pin.pins[i].Seq(), legSQL, legParams...)
-		}(i)
-	}
-	wg.Wait()
+	runLegs(len(pin.parts), func(i int) {
+		results[i], errs[i] = pin.parts[i].pe.QueryAtSeq(pin.pins[i].Seq(), legSQL, legParams...)
+	})
 	s.routeMu.RUnlock()
 	for _, err := range errs {
 		if err != nil {

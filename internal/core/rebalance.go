@@ -552,6 +552,9 @@ func (s *Store) migrateSlot(slot, from, to int) error {
 // works through Exec/Query and therefore through any wire client. It runs
 // before Exec's routing fence: Rebalance takes routingMu itself.
 func (s *Store) adminStatement(sqlText string) (*pe.Result, bool, error) {
+	if !strings.EqualFold(leadingWord(sqlText), "ALTER") {
+		return nil, false, nil
+	}
 	fields := strings.Fields(strings.TrimSuffix(strings.TrimSpace(sqlText), ";"))
 	if len(fields) != 4 || !strings.EqualFold(fields[0], "ALTER") ||
 		!strings.EqualFold(fields[1], "SYSTEM") || !strings.EqualFold(fields[2], "PARTITIONS") {

@@ -605,15 +605,9 @@ func (f *Follower) query(min []uint64, sqlText string, params []types.Value) (*p
 	}()
 	results := make([]*pe.Result, len(parts))
 	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = parts[i].pe.SnapshotQueryAtSeq(pins[i].Seq(), legSQL, legParams...)
-		}(i)
-	}
-	wg.Wait()
+	runLegs(len(parts), func(i int) {
+		results[i], errs[i] = parts[i].pe.SnapshotQueryAtSeq(pins[i].Seq(), legSQL, legParams...)
+	})
 	st.routeMu.RUnlock()
 	for _, err := range errs {
 		if err != nil {

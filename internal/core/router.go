@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,9 +27,11 @@ import (
 //     DELETE on partitioned tables (each partition touches only its local
 //     rows), and broadcasts writes to unpartitioned tables, which are
 //     treated as replicated reference data.
-//   - Query fans out to all partitions when a partitioned relation is
-//     referenced and merges the per-partition results (concatenation,
-//     re-aggregation of COUNT/SUM/MIN/MAX, global re-sort, LIMIT).
+//   - Query runs a SELECT that pins the partition key of one partitioned
+//     table on the key's owner alone (queryOwner); other queries
+//     referencing a partitioned relation fan out to all partitions and
+//     merge the per-partition results (concatenation, re-aggregation of
+//     COUNT/SUM/MIN/MAX, global re-sort, LIMIT).
 //
 // Keys do not map to partitions directly: catalog.PartitionHash (FNV-1a
 // over a canonical, cross-process-stable encoding) buckets every key into
@@ -458,7 +461,8 @@ func (s *Store) staticInsertRows(ins *sql.Insert, rel *catalog.Relation, colMap 
 }
 
 // Query runs an ad-hoc read-only query. Queries touching only unpartitioned
-// relations run on partition 0; queries over partitioned relations fan out
+// relations run on partition 0; a point query by partition key runs on the
+// key's owner (pointKey); other queries over partitioned relations fan out
 // to every partition and the results are merged (see mergePlan for the
 // supported shapes).
 func (s *Store) Query(sqlText string, params ...types.Value) (*pe.Result, error) {
@@ -493,7 +497,9 @@ func (s *Store) queryPart0(sqlText string, params []types.Value) (*pe.Result, er
 }
 
 // querySelect is Query after parsing; Exec reuses it for ad-hoc SELECTs so
-// the text is not parsed twice.
+// the text is not parsed twice. A SELECT confined to one partition key
+// (pointKey) runs on the key's owner alone; every other read over a
+// partitioned relation fans out and merges.
 func (s *Store) querySelect(sel *sql.Select, sqlText string, params []types.Value) (*pe.Result, error) {
 	part, err := s.queryScope(sel)
 	if err != nil {
@@ -502,15 +508,30 @@ func (s *Store) querySelect(sel *sql.Select, sqlText string, params []types.Valu
 	if !part {
 		return s.queryPart0(sqlText, params)
 	}
-	plan, legSQL, legParams, err := fanoutLeg(sel, sqlText, params)
+	// The merge plan is the fan-out's shape check: a statement it rejects
+	// (OFFSET, AVG(DISTINCT), ...) stays rejected when it would prune.
+	plan, err := mergePlan(sel, params)
+	if err != nil {
+		return nil, err
+	}
+	if res, pruned, err := s.queryOwner(sel, sqlText, params); pruned {
+		return res, err
+	}
+	return s.queryFanout(sel, plan, sqlText, params)
+}
+
+// queryFanout runs a SELECT over a partitioned relation on every
+// partition and merges the legs' results per plan.
+func (s *Store) queryFanout(sel *sql.Select, plan *queryMerge, sqlText string, params []types.Value) (*pe.Result, error) {
+	legSQL, legParams, err := legStatement(sel, plan, sqlText, params)
 	if err != nil {
 		return nil, err
 	}
 	// Acquire a consistent cross-partition snapshot: one pinned committed
 	// sequence per partition, taken atomically against 2PC commit
 	// publication (seqMu), so a coordinated write is visible on every
-	// partition or on none. The legs then execute on this goroutine's
-	// fan-out workers against those snapshots — no partition worker is
+	// partition or on none. The legs then execute on this goroutine and
+	// its fan-out workers against those snapshots — no partition worker is
 	// enqueued, and writers (including an in-flight 2PC transaction's
 	// fragment phase) proceed concurrently. routeMu (shared) excludes
 	// runtime DDL for the legs' catalog and index reads; queryScope above
@@ -534,15 +555,9 @@ func (s *Store) querySelect(sel *sql.Select, sqlText string, params []types.Valu
 			p.pe.ReleaseSnapshot(fs.pins[i])
 		}
 	}()
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fs.results[i], fs.errs[i] = parts[i].pe.QueryAtSeq(fs.pins[i].Seq(), legSQL, legParams...)
-		}(i)
-	}
-	wg.Wait()
+	runLegs(len(parts), func(i int) {
+		fs.results[i], fs.errs[i] = parts[i].pe.QueryAtSeq(fs.pins[i].Seq(), legSQL, legParams...)
+	})
 	s.routeMu.RUnlock()
 	for _, err := range fs.errs {
 		if err != nil {
@@ -553,6 +568,122 @@ func (s *Store) querySelect(sel *sql.Select, sqlText string, params []types.Valu
 	// Param indexes are positions in the client's statement, which stay
 	// valid even when the legs had to inline parameters as literals.
 	return plan.merge(sel, fs.results, params)
+}
+
+// queryOwner runs a SELECT that pointKey confines to one partition key on
+// the key's owning partition, on the caller's goroutine, with no merge:
+// the client's own statement over the owner's snapshot is the whole
+// answer, because no other partition holds a row it can match. pruned is
+// false (and nothing ran) when the statement does not qualify.
+//
+// The slot table is read inside the seqMu hold that pins the owner's
+// snapshot. A cutover publishes a slot's new owner together with both
+// partitions' commit sequences in one seqMu write window, so the pinned
+// owner is the partition whose snapshot holds the key's rows.
+func (s *Store) queryOwner(sel *sql.Select, sqlText string, params []types.Value) (res *pe.Result, pruned bool, err error) {
+	s.routeMu.RLock()
+	defer s.routeMu.RUnlock()
+	key, ok := pointKey(s.partList()[0].cat, sel, params)
+	if !ok {
+		return nil, false, nil
+	}
+	s.seqMu.RLock()
+	owner := s.partList()[s.partitionFor(key)].pe
+	pin := owner.AcquireSnapshot()
+	s.seqMu.RUnlock()
+	defer owner.ReleaseSnapshot(pin)
+	res, err = owner.QueryAtSeq(pin.Seq(), sqlText, params...)
+	return res, true, err
+}
+
+// pointKey reports the partition key a SELECT is confined to. It qualifies
+// when its FROM is one partitioned, non-PARTIAL base table without joins
+// and a top-level AND-conjunct of its WHERE is partcol = <literal | ?>
+// whose value coerces to the column's type without loss (as
+// insertPartValue coerces stored keys). Every row such a statement can
+// match then hashes to that key's slot. NULL, NaN, OR, IN and range
+// predicates do not qualify. The caller holds routeMu.
+func pointKey(cat *catalog.Catalog, sel *sql.Select, params []types.Value) (types.Value, bool) {
+	if len(sel.Joins) > 0 || sel.Where == nil {
+		return types.Null, false
+	}
+	rel := cat.Relation(sel.From.Name)
+	if rel == nil || rel.Kind != catalog.KindTable || !rel.Partitioned() || rel.Partial {
+		return types.Null, false
+	}
+	return keyConjunct(sel.Where, rel, sel.From, params)
+}
+
+// keyConjunct searches the AND-tree of a WHERE clause for an equality
+// pinning rel's partition column.
+func keyConjunct(e sql.Expr, rel *catalog.Relation, from sql.TableRef, params []types.Value) (types.Value, bool) {
+	b, ok := e.(*sql.Binary)
+	if !ok {
+		return types.Null, false
+	}
+	switch b.Op {
+	case "AND":
+		if v, ok := keyConjunct(b.L, rel, from, params); ok {
+			return v, true
+		}
+		return keyConjunct(b.R, rel, from, params)
+	case "=":
+		if isPartCol(b.L, rel, from) {
+			return keyOperand(b.R, rel, params)
+		}
+		if isPartCol(b.R, rel, from) {
+			return keyOperand(b.L, rel, params)
+		}
+	}
+	return types.Null, false
+}
+
+// isPartCol reports whether e names rel's partition column, unqualified
+// or qualified by the FROM table's name or alias.
+func isPartCol(e sql.Expr, rel *catalog.Relation, from sql.TableRef) bool {
+	c, ok := e.(*sql.ColumnRef)
+	if !ok || !strings.EqualFold(c.Column, rel.Schema.Column(rel.PartCol).Name) {
+		return false
+	}
+	return c.Table == "" || strings.EqualFold(c.Table, from.Name) || strings.EqualFold(c.Table, from.Alias)
+}
+
+// keyOperand evaluates the other side of a partition-key equality: a
+// literal or parameter, coerced to the column type. A failed or lossy
+// coercion (5.5 against BIGINT, an out-of-range float, a string against a
+// number) compares unequal to the original and does not qualify; neither
+// does NULL, which matches nothing, nor NaN, whose payloads hash apart.
+func keyOperand(e sql.Expr, rel *catalog.Relation, params []types.Value) (types.Value, bool) {
+	switch e.(type) {
+	case *sql.Literal, *sql.Param:
+	default:
+		return types.Null, false
+	}
+	v, err := sql.StaticValue(e, params)
+	if err != nil || v.IsNull() || (v.Type() == types.TypeFloat && math.IsNaN(v.Float())) {
+		return types.Null, false
+	}
+	cv, err := types.Coerce(v, rel.Schema.Column(rel.PartCol).Type)
+	if err != nil || cv.Compare(v) != 0 {
+		return types.Null, false
+	}
+	return cv, true
+}
+
+// runLegs runs leg(0..n-1) concurrently: legs 0..n-2 on fan-out
+// goroutines, the last on the caller's goroutine, which then waits for
+// the rest.
+func runLegs(n int, leg func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 0; i < n-1; i++ {
+		go func(i int) {
+			defer wg.Done()
+			leg(i)
+		}(i)
+	}
+	leg(n - 1)
+	wg.Wait()
 }
 
 // fanoutScratch is the per-query buffer set of the snapshot fan-out: one
@@ -588,29 +719,37 @@ func (fs *fanoutScratch) release() {
 }
 
 // fanoutLeg computes the merge plan and the per-leg statement of a
-// distributed SELECT. The leg statement differs from the client's text
-// when AVG is pushed down (SUM + hidden COUNT per AVG), when HAVING is
-// lifted above the merge (stripped, hidden aggregates appended), or when
-// LIMIT under aggregation is withheld from the legs — all serialized from
-// the rewritten AST via sql.FormatSelect. Shared by the query fan-out and
+// distributed SELECT (see legStatement). Shared by the query fan-out and
 // the coordinator's transactional INSERT ... SELECT materialization.
 func fanoutLeg(sel *sql.Select, sqlText string, params []types.Value) (*queryMerge, string, []types.Value, error) {
 	plan, err := mergePlan(sel, params)
 	if err != nil {
 		return nil, "", nil, err
 	}
-	legSQL, legParams := sqlText, params
-	if len(plan.avgHidden) > 0 || len(plan.extraItems) > 0 || len(plan.exprLeg) > 0 || plan.stripHaving || plan.stripLimit {
-		var inlined bool
-		legSQL, inlined, err = buildLegSQL(sel, plan, params)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		if inlined {
-			legParams = nil
-		}
+	legSQL, legParams, err := legStatement(sel, plan, sqlText, params)
+	if err != nil {
+		return nil, "", nil, err
 	}
 	return plan, legSQL, legParams, nil
+}
+
+// legStatement is the statement each fan-out leg runs. It differs from
+// the client's text when AVG is pushed down (SUM + hidden COUNT per AVG),
+// when HAVING is lifted above the merge (stripped, hidden aggregates
+// appended), or when LIMIT under aggregation is withheld from the legs —
+// all serialized from the rewritten AST via sql.FormatSelect.
+func legStatement(sel *sql.Select, plan *queryMerge, sqlText string, params []types.Value) (string, []types.Value, error) {
+	if len(plan.avgHidden) == 0 && len(plan.extraItems) == 0 && len(plan.exprLeg) == 0 && !plan.stripHaving && !plan.stripLimit {
+		return sqlText, params, nil
+	}
+	legSQL, inlined, err := buildLegSQL(sel, plan, params)
+	if err != nil {
+		return "", nil, err
+	}
+	if inlined {
+		return legSQL, nil, nil
+	}
+	return legSQL, params, nil
 }
 
 // queryScope reports whether the select references any partitioned
@@ -1046,7 +1185,8 @@ func (m *queryMerge) havingResolver(sel *sql.Select) func(sql.Expr) (int, bool, 
 // cross-partition subquery guards share, so a future clause only needs
 // threading in here.
 func selectExprs(q *sql.Select) []sql.Expr {
-	exprs := []sql.Expr{q.Where, q.Having}
+	exprs := make([]sql.Expr, 0, 2+len(q.Items)+len(q.Joins))
+	exprs = append(exprs, q.Where, q.Having)
 	for _, it := range q.Items {
 		exprs = append(exprs, it.Expr)
 	}

@@ -97,3 +97,24 @@ func TestAllocsPKUpdate(t *testing.T) {
 		ctx.Undo.Release()
 	})
 }
+
+// TestAllocsGroupedAggregate: a leaderboard-shaped GROUP BY over 64 rows
+// in four groups. Each row's grouping key is evaluated into context
+// scratch, so the count follows the groups, not the input rows: the scan's
+// row slice, the group map and order list, per group its struct, key
+// copy, aggregate states, map bucket and output row, then the ORDER BY
+// projection, its sort and the Result.
+func TestAllocsGroupedAggregate(t *testing.T) {
+	e, ctx := allocsEngine(t)
+	for phone := int64(1); phone <= 64; phone++ {
+		mustExec(t, e, ctx, "INSERT INTO votes VALUES (?, ?, ?)", types.NewInt(phone), types.NewInt(phone%4+1), types.NewInt(phone))
+	}
+	ctx.Undo.Release()
+	p := prepare(t, e, "SELECT contestant, COUNT(*) AS n FROM votes GROUP BY contestant ORDER BY n DESC, contestant ASC LIMIT 3")
+	guardAllocs(t, 39, func() {
+		res, err := e.Execute(ctx, p)
+		if err != nil || len(res.Rows) != 3 {
+			t.Fatalf("grouped aggregate: %v %v", res, err)
+		}
+	})
+}

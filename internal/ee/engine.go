@@ -134,6 +134,7 @@ type ExecCtx struct {
 	evalTop int
 	params  []types.Value   // depth-0 statement parameters
 	key     types.Row       // index probe key
+	gkey    types.Row       // grouping key of the row being aggregated
 	row     types.Row       // rows written to tables, which store copies
 	ids     []storage.RowID // UPDATE / DELETE matches
 	rows    []types.Row     // ... and their current images
@@ -146,12 +147,14 @@ func (c *ExecCtx) Reset() {
 	c.popEval(0)
 	clear(c.params[:cap(c.params)])
 	clear(c.key[:cap(c.key)])
+	clear(c.gkey[:cap(c.gkey)])
 	clear(c.row[:cap(c.row)])
 	clear(c.rows[:cap(c.rows)])
 	*c = ExecCtx{
 		evals:  c.evals,
 		params: c.params[:0],
 		key:    c.key[:0],
+		gkey:   c.gkey[:0],
 		row:    c.row[:0],
 		ids:    c.ids[:0],
 		rows:   c.rows[:0],
@@ -190,6 +193,17 @@ func (c *ExecCtx) scratchRow(n int) types.Row {
 	c.row = c.row[:n]
 	clear(c.row)
 	return c.row
+}
+
+// scratchGroupKey returns a row of n values for evaluating grouping keys.
+// Aggregation does not nest inside one statement's grouping loop, so one
+// buffer serves every level; a group keeps a copy.
+func (c *ExecCtx) scratchGroupKey(n int) types.Row {
+	if cap(c.gkey) < n {
+		c.gkey = make(types.Row, n)
+	}
+	c.gkey = c.gkey[:n]
+	return c.gkey
 }
 
 // Result is the outcome of one statement.

@@ -36,7 +36,7 @@ func (e *Engine) execSelect(ctx *ExecCtx, p *Prepared, params []types.Value) (*R
 		}
 	}
 	if plan.grouped {
-		rows, err = aggregateRows(rows, plan, ec)
+		rows, err = aggregateRows(ctx, rows, plan, ec)
 		if err != nil {
 			return nil, err
 		}
@@ -525,17 +525,18 @@ func (st *aggState) finalize(spec *aggSpec) types.Value {
 
 // aggregateRows folds the input into one virtual row per group:
 // [groupKey0..groupKeyK, agg0..aggN]. With no GROUP BY keys there is
-// exactly one group, even over empty input (COUNT(*) = 0).
-func aggregateRows(rows []types.Row, plan *selectPlan, ec *evalCtx) ([]types.Row, error) {
+// exactly one group, even over empty input (COUNT(*) = 0). Each row's
+// key is evaluated into context scratch; only a new group copies it.
+func aggregateRows(ctx *ExecCtx, rows []types.Row, plan *selectPlan, ec *evalCtx) ([]types.Row, error) {
 	type group struct {
 		key    types.Row
 		states []aggState
 	}
 	groups := make(map[uint64][]*group)
 	var order []*group
+	key := ctx.scratchGroupKey(len(plan.groupKeys))
 	for _, r := range rows {
 		ec.row = r
-		key := make(types.Row, len(plan.groupKeys))
 		for i, gk := range plan.groupKeys {
 			v, err := gk.eval(ec)
 			if err != nil {
@@ -552,7 +553,7 @@ func aggregateRows(rows []types.Row, plan *selectPlan, ec *evalCtx) ([]types.Row
 			}
 		}
 		if g == nil {
-			g = &group{key: key, states: make([]aggState, len(plan.aggs))}
+			g = &group{key: key.Clone(), states: make([]aggState, len(plan.aggs))}
 			groups[h] = append(groups[h], g)
 			order = append(order, g)
 		}

@@ -5,6 +5,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -136,8 +137,9 @@ func (s *Server) serve(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
+	br := bufio.NewReader(conn)
 	for {
-		payload, err := wire.ReadFrame(conn)
+		payload, err := wire.ReadFrame(br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				s.Logf("server: read: %v", err)

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bufio"
+	"encoding/binary"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pe"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 func newServer(t *testing.T) (*Server, *core.Store) {
@@ -362,5 +366,53 @@ func TestRebalanceOverWire(t *testing.T) {
 	}
 	if q.Rows[0][0].Int() != 32 || q.Rows[0][1].Int() != 4960 {
 		t.Fatalf("post-rebalance data: %v", q.Rows)
+	}
+}
+
+// TestPipelinedFramesInOneWrite sends three request frames in a single
+// Write — as a pipelining client may — and checks the server answers each
+// in request order: the write lands before the read that follows it.
+func TestPipelinedFramesInOneWrite(t *testing.T) {
+	srv, _ := newServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	reqs := []*wire.Request{
+		{Kind: wire.MsgPing},
+		{Kind: wire.MsgCall, Target: "put", Params: types.Row{types.NewInt(41), types.NewString("pipelined")}},
+		{Kind: wire.MsgQuery, Target: "SELECT v FROM kv WHERE k = ?", Params: types.Row{types.NewInt(41)}},
+	}
+	var batch []byte
+	for _, req := range reqs {
+		payload := wire.EncodeRequest(req)
+		batch = binary.LittleEndian.AppendUint32(batch, uint32(len(payload)))
+		batch = append(batch, payload...)
+	}
+	if _, err := conn.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	var resps []*wire.Response
+	for range reqs {
+		payload, err := wire.ReadFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps = append(resps, resp)
+	}
+	if resps[0].Kind != wire.MsgPong {
+		t.Fatalf("first response kind %d, want pong", resps[0].Kind)
+	}
+	if resps[1].Kind != wire.MsgResult {
+		t.Fatalf("put: %+v", resps[1])
+	}
+	if resps[2].Kind != wire.MsgResult || len(resps[2].Rows) != 1 || resps[2].Rows[0][0].Str() != "pipelined" {
+		t.Fatalf("query after put: %+v", resps[2])
 	}
 }

@@ -19,6 +19,7 @@ package storage
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/storage/coldstore"
@@ -625,6 +626,22 @@ func (t *Table) SnapshotGet(id RowID, seq Seq) (types.Row, bool) {
 // reuse) for its whole duration.
 const snapshotScanChunk = 4096
 
+// scanHit is one visible version SnapshotScan captured inside the epoch.
+type scanHit struct {
+	id  RowID
+	row types.Row
+	ref coldstore.Ref
+}
+
+// scanBufPool recycles SnapshotScan's per-chunk capture buffers. The
+// buffer (about 12 KiB) stays off the stack so that a scan does not make a
+// scanning goroutine — a fan-out leg starts on a 2 KiB stack — grow its
+// stack to hold it.
+var scanBufPool = sync.Pool{New: func() any {
+	b := make([]scanHit, 0, 256)
+	return &b
+}}
+
 // SnapshotScan iterates the rows visible at sequence s in insertion
 // (RowID) order. Safe from any goroutine. The epoch is re-entered every
 // snapshotScanChunk slots, resuming by RowID (the directory stays
@@ -637,14 +654,15 @@ const snapshotScanChunk = 4096
 // never delays epoch advance; captured cold refs stay readable because
 // the caller's pin keeps the watermark from passing them (see cold.go).
 func (t *Table) SnapshotScan(seq Seq, fn func(id RowID, row types.Row) bool) {
-	type hit struct {
-		id  RowID
-		row types.Row
-		ref coldstore.Ref
-	}
 	em := t.clock.Epochs()
 	var afterID RowID // resume: first slot with id > afterID
-	buf := make([]hit, 0, 256)
+	bp := scanBufPool.Get().(*[]scanHit)
+	buf := *bp
+	defer func() {
+		clear(buf[:cap(buf)]) // a pooled buffer must not keep rows alive
+		*bp = buf[:0]
+		scanBufPool.Put(bp)
+	}()
 	for {
 		g := em.Enter()
 		d := t.slots()
@@ -657,7 +675,7 @@ func (t *Table) SnapshotScan(seq Seq, fn func(id RowID, row types.Row) bool) {
 			n++
 			if v := s.versionAt(seq); v != nil {
 				pl := v.payload.Load()
-				buf = append(buf, hit{id: s.id, row: pl.row, ref: pl.cold})
+				buf = append(buf, scanHit{id: s.id, row: pl.row, ref: pl.cold})
 			}
 		}
 		done := lo+n >= len(d)

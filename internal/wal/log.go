@@ -136,10 +136,20 @@ func OpenLog(path string, startLSN uint64, policy SyncPolicy) (*Log, error) {
 
 // OpenLogOpts opens a log with explicit options; SyncGroupCommit starts the
 // commit daemon, which runs until Close.
+//
+// When the open creates the file and the policy syncs, the parent
+// directory is fsync'd before returning, so the records later acked from
+// a fresh directory cannot lose their file's name on power loss.
 func OpenLogOpts(path string, startLSN uint64, o Options) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, created, err := openAppend(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open log: %w", err)
+	}
+	if created && o.Policy != SyncNever {
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: open log: sync directory: %w", err)
+		}
 	}
 	l := &Log{
 		path:   path,
@@ -179,6 +189,22 @@ func OpenLogOpts(path string, startLSN uint64, o Options) (*Log, error) {
 		go l.daemon()
 	}
 	return l, nil
+}
+
+// openAppend opens path for appending, creating it if missing, and
+// reports whether this call created it.
+func openAppend(path string) (f *os.File, created bool, err error) {
+	for {
+		f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if !errors.Is(err, os.ErrNotExist) {
+			return f, false, err
+		}
+		f, err = os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+		if !errors.Is(err, os.ErrExist) {
+			return f, err == nil, err
+		}
+		// Another opener created it between the two calls: open theirs.
+	}
 }
 
 // CurrentInterval reports the commit daemon's tick: fixed, or the latest

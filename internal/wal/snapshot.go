@@ -98,10 +98,13 @@ func WriteSnapshot(path string, cat *catalog.Catalog, meta Snapshot) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so that a rename into it survives power
-// loss. Without it the new name can be lost after the caller has acted
-// on it — Checkpoint truncates the log once the snapshot is in place.
-func syncDir(dir string) error {
+// syncDir fsyncs a directory so that a rename or a file creation in it
+// survives power loss. Without it the new name can be lost after the
+// caller has acted on it — Checkpoint truncates the log once the snapshot
+// is in place, and a new log's first records are acked.
+//
+// A variable so tests can observe which operations sync a directory.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

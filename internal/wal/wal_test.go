@@ -284,3 +284,52 @@ func TestSyncDir(t *testing.T) {
 		t.Fatal("WriteSnapshot into a missing directory succeeded")
 	}
 }
+
+// TestOpenLogSyncsDirOnCreate checks that opening a log that creates its
+// file fsyncs the parent directory under a syncing policy, and that
+// reopening an existing file, or a SyncNever log, does not.
+func TestOpenLogSyncsDirOnCreate(t *testing.T) {
+	var synced []string
+	orig := syncDir
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return orig(dir)
+	}
+	defer func() { syncDir = orig }()
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, "command.log")
+	for _, policy := range []SyncPolicy{SyncEveryRecord, SyncGroupCommit} {
+		synced = nil
+		os.Remove(path)
+		l, err := OpenLogOpts(path, 0, Options{Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append([]byte("record")); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		if len(synced) != 1 || synced[0] != dir {
+			t.Fatalf("policy %d: creating the log synced %v, want [%s]", policy, synced, dir)
+		}
+		synced = nil
+		l, err = OpenLogOpts(path, 1, Options{Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		if len(synced) != 0 {
+			t.Fatalf("policy %d: reopening an existing log synced %v", policy, synced)
+		}
+	}
+	synced = nil
+	l, err := OpenLogOpts(filepath.Join(dir, "volatile.log"), 0, Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if len(synced) != 0 {
+		t.Fatalf("a SyncNever log synced %v", synced)
+	}
+}

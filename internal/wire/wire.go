@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/types"
 )
@@ -86,18 +87,32 @@ type Response struct {
 	RowsAffected int64
 }
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame — the 4-byte little-endian
+// payload length, then the payload — in a single Write, so a frame costs
+// one syscall and leaves as one segment. The header and payload are joined
+// in a pooled buffer.
 func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	bp := framePool.Get().(*[]byte)
+	frame := binary.LittleEndian.AppendUint32((*bp)[:0], uint32(len(payload)))
+	frame = append(frame, payload...)
+	_, err := w.Write(frame)
+	if cap(frame) <= maxPooledFrame {
+		*bp = frame[:0]
+		framePool.Put(bp)
 	}
-	_, err := w.Write(payload)
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame.
+// maxPooledFrame bounds the frame buffers WriteFrame keeps for reuse, so
+// one large result does not pin its buffer in the pool.
+const maxPooledFrame = 64 << 10
+
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// ReadFrame reads one length-prefixed frame. A length over MaxFrame is
+// rejected before the payload is allocated. Connections read frames
+// through a bufio.Reader, so a small frame costs one read syscall and
+// pipelined frames arriving together are decoded from one.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -2,8 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
 	"testing"
 
+	"repro/internal/israce"
 	"repro/internal/types"
 )
 
@@ -98,5 +102,83 @@ func TestDecodeCorruption(t *testing.T) {
 		if _, err := DecodeRequest(good[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// countingWriter records each Write call's bytes.
+type countingWriter struct{ writes [][]byte }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestWriteFrameOneWrite checks that a frame reaches the writer in one
+// Write, byte for byte the 4-byte little-endian length and the payload.
+func TestWriteFrameOneWrite(t *testing.T) {
+	big := bytes.Repeat([]byte{7}, maxPooledFrame+1) // not returned to the pool
+	for _, payload := range [][]byte{{}, []byte("abc"), EncodeRequest(&Request{Kind: MsgQuery, Target: "SELECT 1"}), big, []byte("after")} {
+		var w countingWriter
+		if err := WriteFrame(&w, payload); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.writes) != 1 {
+			t.Fatalf("%d-byte payload took %d writes, want 1", len(payload), len(w.writes))
+		}
+		want := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		want = append(want, payload...)
+		if !bytes.Equal(w.writes[0], want) {
+			t.Fatalf("%d-byte payload: frame bytes differ from header+payload", len(payload))
+		}
+	}
+}
+
+// prefixReader supplies a fixed prefix, then fails the test if it is
+// asked for more.
+type prefixReader struct {
+	t      *testing.T
+	prefix []byte
+}
+
+func (r *prefixReader) Read(p []byte) (int, error) {
+	if len(r.prefix) == 0 {
+		r.t.Fatal("payload read after an oversize length")
+	}
+	n := copy(p, r.prefix)
+	r.prefix = r.prefix[n:]
+	return n, nil
+}
+
+// TestReadFrameRejectsOversizeBeforeAlloc feeds a length one past
+// MaxFrame: ReadFrame must fail without reading or allocating a payload.
+func TestReadFrameRejectsOversizeBeforeAlloc(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, MaxFrame+1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(&prefixReader{t: t, prefix: hdr})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("oversize frame accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting an oversize frame allocated %d bytes", grew)
+	}
+}
+
+// TestAllocsWriteFrame guards the pooled frame buffer: writing a frame
+// allocates nothing. The bound only ratchets down.
+func TestAllocsWriteFrame(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	payload := EncodeResponse(&Response{Kind: MsgResult, Columns: []string{"contestant"},
+		Rows: []types.Row{{types.NewInt(3)}}, RowsAffected: 1})
+	got := testing.AllocsPerRun(1000, func() {
+		if err := WriteFrame(io.Discard, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 0 {
+		t.Fatalf("%.0f allocs per WriteFrame, bound 0", got)
 	}
 }
